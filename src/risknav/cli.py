@@ -18,10 +18,11 @@ from dataclasses import replace
 from .env import (load_default_environment, load_default_mission,
                   load_environment, load_mission)
 from .human import HeatParams, HumanState, apply_heat, build_heat_map
-from .planner import max_success_path, shortest_distance_path
+from .planner import shortest_distance_path
 from .sim import (DEFAULT_EPISODES_PER_LEVEL, DEFAULT_LEVELS, EpisodeConfig,
                   load_sweep_config, run_episode, run_sweep, summarize)
-from .verify import build_chain, evaluate_chain, export_prism, select_path
+from .verify import (build_chain, evaluate_chain, export_prism,
+                     plan_validated_path)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -109,22 +110,18 @@ def cmd_plan(args):
         print(f"human predicted: {_fmt_nodes(human.predicted_path.nodes)}")
         query = apply_heat(g, build_heat_map(g, human, HeatParams()))
 
-    dist_path = shortest_distance_path(query, start, goal)
-    if dist_path is None:
+    picked, r_prob = plan_validated_path(query, start, goal)
+    if picked is None:
         print(f"no path from {start} to {goal}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    prob_path = max_success_path(query, start, goal)
+    # the distance path is planned and validated for the comparison line only
+    dist_path = shortest_distance_path(query, start, goal)
     r_dist = evaluate_chain(build_chain(query, dist_path.nodes))
-    if prob_path.nodes == dist_path.nodes:
-        r_prob = r_dist
-    else:
-        r_prob = evaluate_chain(build_chain(query, prob_path.nodes))
-    picked = select_path(dist_path, prob_path, r_dist, r_prob)
 
     print(f"distance path:    {_fmt_nodes(dist_path.nodes)}  "
           f"(distance {dist_path.total_distance:.2f}, r_dist {r_dist:.6f})")
-    print(f"probability path: {_fmt_nodes(prob_path.nodes)}  "
-          f"(distance {prob_path.total_distance:.2f}, r_prob {r_prob:.6f})")
+    print(f"probability path: {_fmt_nodes(picked.nodes)}  "
+          f"(distance {picked.total_distance:.2f}, r_prob {r_prob:.6f})")
     print(f"selected:         {_fmt_nodes(picked.nodes)}")
     return EXIT_OK
 
@@ -270,6 +267,11 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (ArithmeticError, RuntimeError) as exc:
+        # a well-formed input the model cannot solve: the chain check
+        # failed or an episode ran past the tick guard
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_SOLUTION
 
 
 if __name__ == "__main__":

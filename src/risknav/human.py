@@ -137,8 +137,8 @@ def step_human(g, h, rng):
 
     With probability (1 - uncertainty) the human follows its predicted
     path (staying put when there is none or it has arrived); otherwise it
-    moves to a uniformly random neighbour and the path is re-predicted
-    toward the unchanged goal.
+    moves to a uniformly random neighbour, staying put on a node with none,
+    and the path is re-predicted toward the unchanged goal.
     """
     diverged = h.uncertainty > 0.0 and rng.random() < h.uncertainty
     if not diverged:
@@ -148,6 +148,8 @@ def step_human(g, h, rng):
         tail = path_from_nodes(g, path.nodes[1:])
         return replace(h, position=tail.nodes[0], predicted_path=tail)
     nbrs = g.neighbors(h.position)
+    if not nbrs:
+        return h
     pos = nbrs[int(rng.integers(len(nbrs)))][0]
     predicted = None
     if h.goal is not None:

@@ -3,19 +3,17 @@
 A planned path, executed under a retry-until-success-or-failure policy,
 induces a chain with one transient state per path position plus two
 absorbing states (done / dead).  The probability of reaching done is both
-computed in closed form and re-derived from the linear absorption system;
-the two must agree to near machine precision on every call.
+computed in closed form and re-derived by back-substitution through the
+linear absorption system; the two must agree to near machine precision on
+every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .env import effective_success
-from .planner import (max_success_path, path_from_nodes,
-                      shortest_distance_path)
+from .planner import max_success_path, path_from_nodes
 
 AGREEMENT_TOL = 1e-12
 
@@ -57,26 +55,25 @@ def evaluate_chain(chain):
 
     The same value is recomputed by solving the absorption system
     (I - Q) b = r, where Q is the transient-to-transient block and r the
-    one-step absorption column into done.  A disagreement beyond 1e-12
-    means the chain is corrupt, and raises ArithmeticError.
+    one-step absorption column into done.  I - Q is upper bidiagonal, so
+    back-substitution from the last edge, b_i = p_success_i * b_(i+1) /
+    (1 - p_retry_i), is the whole solve, in the same operations a dense LU
+    solve performs.  A disagreement beyond 1e-12 means the chain is
+    corrupt, and raises ArithmeticError.
     """
     closed = 1.0
     for p in chain.probs:
         closed = closed * effective_success(p)
 
-    k = len(chain.probs)
-    if k == 0:
-        linear = 1.0
-    else:
-        a = np.eye(k)
-        r = np.zeros(k)
-        for i, p in enumerate(chain.probs):
-            a[i, i] -= p.p_retry
-            if i + 1 < k:
-                a[i, i + 1] -= p.p_success
-            else:
-                r[i] = p.p_success
-        linear = float(np.linalg.solve(a, r)[0])
+    linear = 1.0
+    try:
+        for p in reversed(chain.probs):
+            linear = p.p_success * linear / (1.0 - p.p_retry)
+    except ZeroDivisionError:
+        # p_retry == 1.0, which the risk-table parser admits within its
+        # sum tolerance: an edge the robot can neither cross nor fail
+        raise ValueError(
+            f"absorption system is singular for path {chain.path}") from None
 
     if abs(closed - linear) > AGREEMENT_TOL:
         raise ArithmeticError(
@@ -128,32 +125,17 @@ def export_prism(chain, path_label):
     return model, props
 
 
-def select_path(dist_path, prob_path, r_dist, r_prob):
-    """Pick between the two planned paths by validated probability.
-
-    The distance path wins only when strictly more reliable; ties keep the
-    probability path.
-    """
-    return dist_path if r_dist > r_prob else prob_path
-
-
 def plan_validated_path(g, start, final, heated=None):
-    """Plan both objectives, validate each chain, return the selection.
+    """Plan the maximum-success path and validate its chain.
 
     Planning and validation run on the heat overlay when one is given,
     otherwise on g.  Returns (path, validated_probability), or (None, None)
-    when final is unreachable.  Identical candidate paths are evaluated
-    once.
+    when final is unreachable.  The planner maximises the same left-to-right
+    product that evaluate_chain returns, so no other candidate, the
+    shortest-distance path included, can validate higher.
     """
     query = heated if heated is not None else g
-    dist_path = shortest_distance_path(query, start, final)
-    if dist_path is None:
+    path = max_success_path(query, start, final)
+    if path is None:
         return None, None
-    prob_path = max_success_path(query, start, final)
-    r_dist = evaluate_chain(build_chain(query, dist_path.nodes))
-    if prob_path.nodes == dist_path.nodes:
-        r_prob = r_dist
-    else:
-        r_prob = evaluate_chain(build_chain(query, prob_path.nodes))
-    picked = select_path(dist_path, prob_path, r_dist, r_prob)
-    return picked, (r_dist if picked is dist_path else r_prob)
+    return path, evaluate_chain(build_chain(query, path.nodes))

@@ -24,8 +24,7 @@ from risknav import (EpisodeConfig, HeatParams, HumanState, apply_heat,
                      build_chain, build_heat_map, effective_success,
                      evaluate_chain, export_prism, max_success_path,
                      plan_validated_path, run_episode, run_sweep,
-                     select_path, shortest_distance_path, summarize)
-from risknav.planner import Path
+                     shortest_distance_path, summarize)
 from risknav.sim import DEFAULT_LEVELS, derive_seed
 
 from conftest import (oracle_max_success, oracle_shortest, path_stats,
@@ -294,23 +293,34 @@ def test_7c_zero_heat_identity():
     print("\ncriterion 7c: PASS (zero heat is the identity, 1000 cases)")
 
 
-def test_7d_select_path_branch_semantics():
+def test_7d_probability_path_is_never_beaten():
+    # plan_validated_path validates only the maximum-success path; on
+    # random heated graphs the distance path, wherever it differs, never
+    # validates higher
     rng = np.random.default_rng(704)
-    a = Path((0, 1), 1.0, 0.5)
-    b = Path((0, 2, 1), 2.0, 0.5)
-    for _ in range(1000):
-        r_dist = float(rng.uniform(0.0, 1.0))
-        if rng.random() < 0.3:
-            r_prob = r_dist
-        else:
-            r_prob = float(rng.uniform(0.0, 1.0))
-        picked = select_path(a, b, r_dist, r_prob)
-        if r_dist > r_prob:
-            assert picked is a
-        else:
-            assert picked is b
-    print("\ncriterion 7d: PASS (strictly greater wins for the distance "
-          "path, ties keep the probability path, 1000 cases)")
+    cases = 0
+    differing = 0
+    while cases < 1000:
+        g = random_environment(rng, max_nodes=8)
+        hot = apply_heat(g, {key: float(rng.uniform(0.0, 1.0))
+                             for key in g.edges if rng.random() < 0.5})
+        s = int(rng.integers(g.node_count))
+        t = int(rng.integers(g.node_count))
+        dist_path = shortest_distance_path(hot, s, t)
+        prob_path = max_success_path(hot, s, t)
+        r_prob = evaluate_chain(build_chain(hot, prob_path.nodes))
+        if dist_path.nodes != prob_path.nodes:
+            r_dist = evaluate_chain(build_chain(hot, dist_path.nodes))
+            assert r_dist <= r_prob
+            differing += 1
+        path, r = plan_validated_path(g, s, t, heated=hot)
+        assert path.nodes == prob_path.nodes
+        assert r == r_prob
+        cases += 1
+    assert differing >= 100
+    print(f"\ncriterion 7d: PASS (the distance path never validates above "
+          f"the probability path, {differing} of {cases} heated cases "
+          f"differ)")
 
 
 def test_7e_episode_accounting(default_env, default_mission):

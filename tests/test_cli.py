@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from risknav import sim
 from risknav.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -83,6 +84,18 @@ class TestValidate:
         assert code == 2
         assert "no edge between 0 and 7" in err
 
+    def test_chain_disagreement_exits_two(self, capsys, tmp_path):
+        # well-formed, but p_fail = 1e-12 puts the closed form at 1.0 and
+        # the linear solve just below it, beyond the agreement tolerance
+        env = write_env(tmp_path, {"risk_table": {"Low": [1e-06, 0.999999]},
+                                   "nodes": 2,
+                                   "edges": [[0, 1, 1.0, "Low"]]})
+        code, out, err = run(capsys, "validate", "0", "1", "--env", env)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: closed form 1.0 and linear solve")
+        assert err.count("\n") == 1
+
 
 class TestExportPrism:
     def test_files_match_the_goldens(self, capsys, tmp_path):
@@ -134,6 +147,39 @@ class TestSimulate:
         _, second, _ = run(capsys, "simulate", "--seed", "42",
                            "--uncertainty", "0.5")
         assert first == second
+
+    def test_tick_guard_exits_two(self, capsys, tmp_path, monkeypatch):
+        # one success in 2**20 attempts and no failure mass: the episode
+        # outlasts the tick guard, lowered here to keep the test fast.
+        # Seed 0 starts the human on the far component, so the robot's
+        # edge stays unheated and its chain validates exactly.
+        monkeypatch.setattr(sim, "_TICK_GUARD", 50)
+        env = write_env(tmp_path, {
+            "risk_table": {"Low": [9.5367431640625e-07, 0.9999990463256836]},
+            "nodes": 4, "edges": [[0, 1, 1.0, "Low"], [2, 3, 1.0, "Low"]]})
+        mission = tmp_path / "mission.json"
+        mission.write_text(json.dumps(
+            {"start": 0, "tasks": [1], "end": 0, "safe_locations": [1],
+             "threshold": 0.9, "hold_limit": 10}))
+        code, out, err = run(capsys, "simulate", "--env", env,
+                             "--mission", str(mission))
+        assert code == 2
+        assert out == ""
+        assert err == "error: episode exceeded the tick guard\n"
+
+    def test_erratic_human_on_isolated_node(self, capsys, tmp_path):
+        env = write_env(tmp_path, {
+            "nodes": 4, "edges": [[0, 1, 1.0, "Low"], [1, 2, 1.0, "Low"]]})
+        mission = tmp_path / "mission.json"
+        mission.write_text(json.dumps(
+            {"start": 0, "tasks": [2], "end": 0, "safe_locations": [1],
+             "threshold": 0.9, "hold_limit": 10}))
+        for seed in ("0", "2", "3", "7"):
+            code, out, err = run(capsys, "simulate", "--env", env,
+                                 "--mission", str(mission),
+                                 "--uncertainty", "1", "--seed", seed)
+            assert code == 0, err
+            assert out.startswith("success,")
 
 
 class TestSweep:

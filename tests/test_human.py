@@ -180,6 +180,17 @@ class TestStepHuman:
         h = HumanState(2)
         assert step_human(g, h, np.random.default_rng(3)) == h
 
+    def test_erratic_human_on_isolated_node_stays_put(self):
+        g = environment_from_dict(
+            {"nodes": 4, "edges": [[0, 1, 1.0, "Low"], [1, 2, 1.0, "Low"]]})
+        h = HumanState(3, None, 1.0)
+        rng = np.random.default_rng(8)
+        assert step_human(g, h, rng) == h
+        # the divergence draw is the only one: no neighbour index is drawn
+        ref = np.random.default_rng(8)
+        ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_fully_erratic_human_moves_to_a_neighbor(self):
         g = environment_from_dict(line_doc())
         h = HumanState(2, 4, 1.0, path_from_nodes(g, (2, 3, 4)))

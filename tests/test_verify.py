@@ -1,4 +1,4 @@
-"""Fixed-policy chain validation, PRISM export, path selection."""
+"""Fixed-policy chain validation, PRISM export, validated planning."""
 
 import pathlib
 import re
@@ -8,9 +8,10 @@ import pytest
 
 from risknav import (OutcomeProbs, build_chain, effective_success,
                      environment_from_dict, evaluate_chain, export_prism,
-                     plan_validated_path, select_path)
+                     plan_validated_path)
 from risknav.human import HeatParams, HumanState, apply_heat, build_heat_map
-from risknav.planner import Path, shortest_distance_path
+from risknav.planner import shortest_distance_path
+from risknav import verify
 from risknav.verify import FixedPolicyChain
 
 from conftest import random_environment, simple_paths
@@ -75,6 +76,47 @@ class TestEvaluateChain:
                 expect = expect * effective_success(p)
             assert evaluate_chain(chain) == pytest.approx(expect, abs=1e-12)
 
+    def test_back_substitution_matches_a_dense_solve(self, monkeypatch):
+        # a negative tolerance makes every call raise with its linear
+        # solution in the message, which is compared bit for bit against
+        # LAPACK on the same absorption system (I - Q) b = r
+        monkeypatch.setattr(verify, "AGREEMENT_TOL", -1.0)
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 500:
+            g = random_environment(rng, max_nodes=8)
+            if rng.random() < 0.5:
+                g = apply_heat(g, {key: float(rng.uniform(0.0, 1.0))
+                                   for key in g.edges})
+            s = int(rng.integers(g.node_count))
+            t = int(rng.integers(g.node_count))
+            cands = simple_paths(g, s, t)
+            if not cands:
+                continue
+            chain = build_chain(g, cands[int(rng.integers(len(cands)))])
+            k = len(chain.probs)
+            a = np.eye(k)
+            r = np.zeros(k)
+            for i, p in enumerate(chain.probs):
+                a[i, i] -= p.p_retry
+                if i + 1 < k:
+                    a[i, i + 1] -= p.p_success
+                else:
+                    r[i] = p.p_success
+            dense = float(np.linalg.solve(a, r)[0]) if k else 1.0
+            with pytest.raises(ArithmeticError) as info:
+                evaluate_chain(chain)
+            linear = re.search(r"linear solve (\S+) disagree",
+                               str(info.value)).group(1)
+            assert float(linear) == dense
+            checked += 1
+
+    def test_pure_retry_edge_is_rejected(self):
+        g = environment_from_dict({"risk_table": {"Low": [1e-13, 1.0]},
+                                   "nodes": 2, "edges": [[0, 1, 1.0, "Low"]]})
+        with pytest.raises(ValueError, match="singular"):
+            evaluate_chain(build_chain(g, (0, 1)))
+
     def test_corrupt_chain_raises(self):
         # a hand-built chain whose probabilities were tampered with after
         # construction cannot slip through the agreement check
@@ -123,20 +165,6 @@ class TestExportPrism:
         for row, p in zip(rows, chain.probs):
             assert tuple(float(v) for v in row) \
                 == (p.p_success, p.p_retry, p.p_fail)
-
-
-class TestSelectPath:
-    A = Path((0, 1), 1.0, 0.9)
-    B = Path((0, 2, 1), 2.0, 0.8)
-
-    def test_strictly_more_reliable_distance_path_wins(self):
-        assert select_path(self.A, self.B, 0.9, 0.8) is self.A
-
-    def test_tie_keeps_probability_path(self):
-        assert select_path(self.A, self.B, 0.8, 0.8) is self.B
-
-    def test_less_reliable_distance_path_loses(self):
-        assert select_path(self.A, self.B, 0.7, 0.8) is self.B
 
 
 class TestPlanValidatedPath:
