@@ -18,7 +18,8 @@ from dataclasses import replace
 from .env import (load_default_environment, load_default_mission,
                   load_environment, load_mission)
 from .human import HeatParams, HumanState, apply_heat, build_heat_map
-from .planner import shortest_distance_path
+from .planner import (UnreachableNodeError, check_reachable,
+                      shortest_distance_path)
 from .sim import (DEFAULT_EPISODES_PER_LEVEL, DEFAULT_LEVELS, EpisodeConfig,
                   load_sweep_config, run_episode, run_sweep, summarize)
 from .verify import (build_chain, evaluate_chain, export_prism,
@@ -165,6 +166,7 @@ def cmd_export_prism(args):
 def cmd_simulate(args):
     g = _load_env(args.env)
     mission = _load_mission(args.mission, g)
+    check_reachable(g, mission)
     cfg = EpisodeConfig(g, mission, HeatParams(), args.uncertainty,
                         args.seed)
     out = run_episode(cfg)
@@ -264,14 +266,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (UnreachableNodeError, ArithmeticError, RuntimeError) as exc:
+        # a well-formed input the model cannot solve: a possible start
+        # cannot reach a waypoint, the chain check failed or an episode
+        # ran past the tick guard
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_SOLUTION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ArithmeticError, RuntimeError) as exc:
-        # a well-formed input the model cannot solve: the chain check
-        # failed or an episode ran past the tick guard
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
 
 
 if __name__ == "__main__":

@@ -55,6 +55,12 @@ class OutcomeProbs:
         if p_success + p_retry > 1.0 + PROB_SUM_TOL:
             raise ValueError(
                 f"p_success + p_retry = {p_success + p_retry!r} exceeds 1")
+        if p_retry == 1.0:
+            # admitted by the sum tolerance when p_success <= 1e-12, but
+            # an edge that can be neither crossed nor failed has no
+            # absorption probability
+            raise ValueError("p_retry of 1.0 leaves an edge that can be "
+                             "neither crossed nor failed")
         return cls(p_success, p_retry, max(0.0, 1.0 - (p_success + p_retry)))
 
 

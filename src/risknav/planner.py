@@ -5,14 +5,19 @@ maximises the product of per-edge effective success probabilities.  Both
 resolve ties deterministically so repeated runs return byte-identical
 plans: equal-cost candidates are ordered by (objective, then distance for
 the probability planner, then the node sequence itself).
+
+On a base graph the probability planner runs one full search per source
+and memoizes it as a tree of paths to every reachable node; task ordering
+reads all of its legs from the trees of its start and of each task.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .env import EnvironmentGraph, HeatedGraph, MissionSpec
 
@@ -59,11 +64,6 @@ def path_from_nodes(g, nodes):
     return Path(nodes, dist, prob)
 
 
-def _cache_for(g, kind):
-    base = g.base if isinstance(g, HeatedGraph) else g
-    return base._path_cache.setdefault(kind, {})
-
-
 def shortest_distance_path(g, start, goal):
     """Minimum-distance path from start to goal, or None if unreachable.
 
@@ -78,7 +78,7 @@ def shortest_distance_path(g, start, goal):
         found = shortest_distance_path(g.base, start, goal)
         return path_from_nodes(g, found.nodes) if found is not None else None
 
-    cache = _cache_for(g, "dist")
+    cache = g._path_cache.setdefault("dist", {})
     hit = cache.get((start, goal))
     if hit is not None or (start, goal) in cache:
         return hit
@@ -102,42 +102,68 @@ def shortest_distance_path(g, start, goal):
     return best
 
 
+def _success_search(g, start, goal=None):
+    """Max-success Dijkstra from start, as {node: (-prob, dist, seq)}.
+
+    Each node maps to the heap entry that first popped it.  The search
+    stops after popping goal, or runs to exhaustion when goal is None;
+    the pops before goal are the same either way.  The heap key carries
+    the running product directly (multiplied in path order), so every
+    entry is bit-identical to a brute-force enumeration using the same
+    arithmetic.
+    """
+    popped = {}
+    heap = [(-1.0, 0.0, (start,))]
+    while heap:
+        entry = heapq.heappop(heap)
+        neg_prob, dist, seq = entry
+        node = seq[-1]
+        if node in popped:
+            continue
+        popped[node] = entry
+        if node == goal:
+            break
+        for nbr, edge in g.neighbors(node):
+            if nbr not in popped:
+                heapq.heappush(heap, ((-neg_prob) * g.effective(edge) * -1.0,
+                                      dist + edge.distance, seq + (nbr,)))
+    return popped
+
+
+def _success_tree(g, start):
+    """{target: Path} for every node reachable from start.
+
+    Memoized per start on an EnvironmentGraph, whose probabilities never
+    change; computed afresh on a heat overlay.
+    """
+    cache = (g._path_cache.setdefault("prob", {})
+             if isinstance(g, EnvironmentGraph) else {})
+    tree = cache.get(start)
+    if tree is None:
+        popped = _success_search(g, start)
+        tree = cache[start] = {node: Path(seq, dist, -neg_prob)
+                               for node, (neg_prob, dist, seq)
+                               in popped.items()}
+    return tree
+
+
 def max_success_path(g, start, goal):
     """Maximum effective-success path from start to goal, or None.
 
     Ties on probability break by smaller total distance, then by the
-    lexicographically smallest node sequence.  The heap key carries the
-    running product directly (multiplied in path order), so the winner is
-    bit-identical to a brute-force enumeration using the same arithmetic.
+    lexicographically smallest node sequence.  On an EnvironmentGraph the
+    path is read from the memoized search tree of start; on a heat overlay
+    the search stops at goal.
     """
     g.check_node(start)
     g.check_node(goal)
-    cacheable = isinstance(g, EnvironmentGraph)
-    if cacheable:
-        cache = _cache_for(g, "prob")
-        hit = cache.get((start, goal))
-        if hit is not None or (start, goal) in cache:
-            return hit
-
-    best = None
-    done = set()
-    heap = [(-1.0, 0.0, (start,))]
-    while heap:
-        neg_prob, dist, seq = heapq.heappop(heap)
-        node = seq[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == goal:
-            best = Path(seq, dist, -neg_prob)
-            break
-        for nbr, edge in g.neighbors(node):
-            if nbr not in done:
-                heapq.heappush(heap, ((-neg_prob) * g.effective(edge) * -1.0,
-                                      dist + edge.distance, seq + (nbr,)))
-    if cacheable:
-        cache[(start, goal)] = best
-    return best
+    if isinstance(g, EnvironmentGraph):
+        return _success_tree(g, start).get(goal)
+    hit = _success_search(g, start, goal).get(goal)
+    if hit is None:
+        return None
+    neg_prob, dist, seq = hit
+    return Path(seq, dist, -neg_prob)
 
 
 @dataclass(frozen=True)
@@ -160,47 +186,94 @@ def _compose(legs):
     return prob, dist
 
 
+def check_reachable(g, mission, starts=None):
+    """Raise UnreachableNodeError unless every start reaches every waypoint.
+
+    starts defaults to every start the mission can draw: mission.start, or
+    every node when the start is random.  Edges are undirected, so a start
+    reaches a waypoint exactly when it lies in the waypoint's search tree.
+    """
+    if starts is None:
+        starts = (g.nodes if mission.start is None
+                  else (g.check_node(mission.start),))
+    for t in mission.tasks + (mission.end,):
+        g.check_node(t)
+        tree = _success_tree(g, t)
+        for s in starts:
+            if s not in tree:
+                kind = "end node" if t == mission.end else "task"
+                raise UnreachableNodeError(
+                    f"{kind} {t} is unreachable from node {s}")
+
+
 def order_tasks(g, mission, from_node):
     """Choose the task visiting order that maximises mission success.
 
-    Exhaustive over all task permutations up to 8 tasks (legs between
-    waypoints are memoized max-success paths); beyond 8 a greedy
-    nearest-task order is used instead and a warning is emitted.  The end
-    node is always appended after the last task.
+    Legs between waypoints are read from one max-success search tree per
+    waypoint.  Up to 8 tasks, every permutation is scored at once by
+    multiplying and adding the legs left to right, as _compose does, and
+    the winner is the smallest (-probability, distance, task order).
+    Beyond 8 a greedy nearest-task order is used instead and a warning is
+    emitted.  The end node is always appended after the last task.
     """
     g.check_node(from_node)
-    waypoints = list(mission.tasks) + [mission.end]
-    for t in waypoints:
-        g.check_node(t)
-        if max_success_path(g, from_node, t) is None:
-            kind = "end node" if t == mission.end else "task"
-            raise UnreachableNodeError(
-                f"{kind} {t} is unreachable from node {from_node}")
-
+    check_reachable(g, mission, (from_node,))
+    sources = (from_node,) + mission.tasks
+    trees = {s: _success_tree(g, s) for s in sources}
     if len(mission.tasks) > 8:
         order = _greedy_order(g, mission, from_node)
     else:
-        order = None
-        best_key = None
-        for perm in itertools.permutations(mission.tasks):
-            legs = []
-            here = from_node
-            for t in perm + (mission.end,):
-                legs.append(max_success_path(g, here, t))
-                here = t
-            prob, dist = _compose(legs)
-            key = (-prob, dist, perm)
-            if best_key is None or key < best_key:
-                best_key = key
-                order = perm
+        order = _best_order([trees[s] for s in sources], mission.tasks,
+                            mission.end)
 
     legs = []
     here = from_node
     for t in order + (mission.end,):
-        legs.append(max_success_path(g, here, t))
+        legs.append(trees[here][t])
         here = t
     prob, dist = _compose(legs)
     return MissionPlan(order + (mission.end,), tuple(legs), prob, dist)
+
+
+def _best_order(trees, tasks, end):
+    # row i: legs from source i (0 = from_node, i = task i-1);
+    # column j: legs to task j, or to the end node when j == k
+    k = len(tasks)
+    targets = tasks + (end,)
+    prob = np.array([[tree[t].success_probability for t in targets]
+                     for tree in trees])
+    dist = np.array([[tree[t].total_distance for t in targets]
+                     for tree in trees])
+    perms = _permutations(k)
+    total_prob = np.ones(len(perms))
+    total_dist = np.zeros(len(perms))
+    here = np.zeros(len(perms), dtype=np.int8)
+    for col in [*perms.T, np.full(len(perms), k, dtype=np.int8)]:
+        total_prob = total_prob * prob[here, col]
+        total_dist = total_dist + dist[here, col]
+        here = col + 1
+    best = np.flatnonzero(total_prob == total_prob.max())
+    best = best[total_dist[best] == total_dist[best].min()]
+    return min(tuple(tasks[i] for i in perms[b]) for b in best)
+
+
+def _permutations(k):
+    """Every permutation of range(k), one per row, in no fixed order.
+
+    Built by inserting n at each position of the permutations of range(n),
+    which is several times faster than converting itertools.permutations.
+    k is at most 8, so int8 entries suffice and keep the array small.
+    """
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for n in range(k):
+        m = len(perms)
+        grown = np.empty((n + 1, m, n + 1), dtype=np.int8)
+        for pos in range(n + 1):
+            grown[pos, :, :pos] = perms[:, :pos]
+            grown[pos, :, pos] = n
+            grown[pos, :, pos + 1:] = perms[:, pos:]
+        perms = grown.reshape(-1, n + 1)
+    return perms
 
 
 def _greedy_order(g, mission, from_node):

@@ -25,7 +25,8 @@ from .env import (EnvironmentGraph, MissionSpec, effective_success,
                   load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     heated_probs, step_human)
-from .planner import Path, order_tasks, shortest_distance_path
+from .planner import (Path, check_reachable, order_tasks,
+                      shortest_distance_path)
 from .verify import plan_validated_path
 
 HOLD_TIMEOUT = "hold_timeout"
@@ -287,7 +288,9 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
 
     Seeds are fixed by (base.seed, level index, episode index) alone and
     the per-level aggregates are order-independent sums/maxima, so the
-    report is identical for any worker count.
+    report is identical for any worker count.  Raises
+    UnreachableNodeError before the first episode when some possible
+    start cannot reach a task or the end node.
     """
     levels = [float(u) for u in levels]
     for u in levels:
@@ -299,6 +302,7 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         raise ValueError("episodes_per_level must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    check_reachable(base.environment, base.mission)
 
     chunk = 250
     jobs = []

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from risknav import sim
+from risknav import cli, sim
 from risknav.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -25,6 +25,28 @@ def write_env(tmp_path, doc):
 
 split_doc = {"nodes": 4,
              "edges": [[0, 1, 1.0, "Low"], [2, 3, 1.0, "Low"]]}
+
+
+def write_stranded_start(tmp_path):
+    # node 3 has no edges, and the random start can draw it
+    env = write_env(tmp_path, {
+        "nodes": 4, "edges": [[0, 1, 1.0, "Low"], [1, 2, 1.0, "Low"]]})
+    mission = tmp_path / "mission.json"
+    mission.write_text(json.dumps(
+        {"start": "random", "tasks": [1], "end": 2, "safe_locations": [0]}))
+    return env, str(mission)
+
+
+def count_episodes(monkeypatch, module):
+    calls = []
+    real = module.run_episode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "run_episode", counted)
+    return calls
 
 
 class TestPlan:
@@ -181,8 +203,32 @@ class TestSimulate:
             assert code == 0, err
             assert out.startswith("success,")
 
+    def test_unreachable_possible_start_exits_two(self, capsys, tmp_path,
+                                                  monkeypatch):
+        env, mission = write_stranded_start(tmp_path)
+        episodes = count_episodes(monkeypatch, cli)
+        for seed in ("0", "1", "2", "3"):
+            code, out, err = run(capsys, "simulate", "--env", env,
+                                 "--mission", mission, "--seed", seed)
+            assert code == 2
+            assert out == ""
+            assert err == "error: task 1 is unreachable from node 3\n"
+        assert episodes == []
+
 
 class TestSweep:
+    def test_unreachable_possible_start_exits_two(self, capsys, tmp_path,
+                                                  monkeypatch):
+        env, mission = write_stranded_start(tmp_path)
+        episodes = count_episodes(monkeypatch, sim)
+        code, out, err = run(capsys, "sweep", "--env", env,
+                             "--mission", mission, "--levels", "0,1",
+                             "--episodes", "20", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: task 1 is unreachable from node 3\n"
+        assert episodes == []
+
     def test_one_level_emits_two_lines(self, capsys):
         code, out, _ = run(capsys, "sweep", "--levels", "0",
                            "--episodes", "10", "--seed", "3")

@@ -140,6 +140,15 @@ class TestEnvironmentSchema:
         with pytest.raises(ValueError, match="p_success, p_retry"):
             environment_from_dict(doc)
 
+    def test_pure_retry_row_rejected(self):
+        # p_success = 1e-13 keeps the row within the sum tolerance, yet an
+        # edge of this class could be neither crossed nor failed
+        doc = {"nodes": 2, "risk_table": {"Low": [1e-13, 1.0]},
+               "edges": [[0, 1, 1.0, "Low"]]}
+        with pytest.raises(ValueError,
+                           match="risk class 'Low': p_retry of 1.0"):
+            environment_from_dict(doc)
+
     def test_node_objects_carry_labels_and_xy(self):
         doc = {"nodes": [{"label": "hall", "xy": [1, 2]}, None, {}],
                "edges": [[0, 1, 1.0, "Low"], [1, 2, 1.0, "Low"]]}

@@ -1,17 +1,21 @@
 """Dual planners and mission task ordering against brute-force oracles."""
 
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from risknav import (MissionSpec, UnreachableNodeError, environment_from_dict,
-                     max_success_path, order_tasks, path_from_nodes,
-                     shortest_distance_path)
+from risknav import (MissionPlan, MissionSpec, UnreachableNodeError,
+                     environment_from_dict, max_success_path, order_tasks,
+                     path_from_nodes, shortest_distance_path)
 from risknav.human import apply_heat
 
 from conftest import (oracle_max_success, oracle_shortest, path_stats,
-                      random_environment)
+                      random_connected_doc, random_environment)
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def grid_doc():
@@ -151,6 +155,43 @@ class TestMaxSuccessPath:
                 == oracle_max_success(hot, s, t)
 
 
+def oracle_plan(legs, tasks, end, start):
+    """Exhaustive MissionPlan over every task order, composed left to right
+    like order_tasks, plus the first order (in permutation order) that ties
+    with the winner on probability and distance."""
+    best = None
+    scored = []
+    for perm in itertools.permutations(tasks):
+        chosen = []
+        prob, dist = 1.0, 0.0
+        here = start
+        for t in perm + (end,):
+            leg = legs[here, t]
+            chosen.append(leg)
+            prob = prob * leg.success_probability
+            dist = dist + leg.total_distance
+            here = t
+        scored.append((prob, dist, perm))
+        key = (-prob, dist, perm)
+        if best is None or key < best[0]:
+            best = (key, chosen)
+    (neg_prob, dist, perm), chosen = best
+    first_tied = next(p for q, d, p in scored if (q, d) == (-neg_prob, dist))
+    return (MissionPlan(perm + (end,), tuple(chosen), -neg_prob, dist),
+            first_tied + (end,))
+
+
+def docs_for_every_task_count(rng, per_count):
+    """(document, k) pairs: per_count random maps for each k in 0..6, each
+    with more than k nodes."""
+    for k in range(7):
+        for _ in range(per_count):
+            doc = random_connected_doc(rng, max_nodes=8)
+            while doc["nodes"] <= k:
+                doc = random_connected_doc(rng, max_nodes=8)
+            yield doc, k
+
+
 class TestOrderTasks:
     def mission(self, tasks, end, start=0):
         return MissionSpec(start, tuple(tasks), end, ())
@@ -163,29 +204,46 @@ class TestOrderTasks:
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(14)
-        for _ in range(25):
-            g = random_environment(rng, max_nodes=7)
-            nodes = [int(v) for v in rng.permutation(g.node_count)]
-            k = min(3, g.node_count - 1)
-            tasks, end = nodes[:k], nodes[k]
-            start = int(rng.integers(g.node_count))
-            plan = order_tasks(g, self.mission(tasks, end), start)
+        for doc, k in docs_for_every_task_count(rng, 6):
+            self.check_every_start(environment_from_dict(doc), rng, k)
 
-            best = None
-            for perm in itertools.permutations(tasks):
-                prob, dist = 1.0, 0.0
-                here = start
-                for t in perm + (end,):
-                    leg = max_success_path(g, here, t)
-                    prob = prob * leg.success_probability
-                    dist = dist + leg.total_distance
-                    here = t
-                key = (-prob, dist, perm)
-                if best is None or key < best:
-                    best = key
-            assert plan.ordered_tasks == best[2] + (end,)
-            assert plan.plan_probability == -best[0]
-            assert plan.plan_distance == best[1]
+    def test_ties_fall_through_to_the_task_order(self):
+        # uniform Low edges of unit length: many orders tie on probability
+        # and distance, and only the task tuple separates them
+        rng = np.random.default_rng(15)
+        reordered = 0
+        for doc, k in docs_for_every_task_count(rng, 4):
+            doc["edges"] = [[a, b, 1.0, "Low"] for a, b, _, _ in doc["edges"]]
+            reordered += self.check_every_start(
+                environment_from_dict(doc), rng, k)
+        assert reordered > 20
+
+    def check_every_start(self, g, rng, k):
+        """Compare order_tasks with the oracle from every start node;
+        returns how often the task-tuple tie-break picked a different
+        order than permutation order would have."""
+        nodes = [int(v) for v in rng.permutation(g.node_count)]
+        tasks, end = tuple(nodes[:k]), nodes[k]
+        legs = {(a, b): path_from_nodes(g, oracle_max_success(g, a, b))
+                for a in g.nodes for b in g.nodes}
+        reordered = 0
+        for start in g.nodes:
+            plan = order_tasks(g, self.mission(tasks, end), start)
+            expect, first_tied = oracle_plan(legs, tasks, end, start)
+            assert plan == expect
+            reordered += first_tied != expect.ordered_tasks
+        return reordered
+
+    def test_bundled_plans_match_the_golden_file(self, default_env,
+                                                 default_mission):
+        rows = json.loads((GOLDEN_DIR / "order_tasks_default.json")
+                          .read_text())
+        assert [row["start"] for row in rows] == list(default_env.nodes)
+        for row in rows:
+            plan = order_tasks(default_env, default_mission, row["start"])
+            assert list(plan.ordered_tasks) == row["ordered_tasks"]
+            assert repr(plan.plan_probability) == row["plan_probability"]
+            assert repr(plan.plan_distance) == row["plan_distance"]
 
     def test_unreachable_task_raises(self):
         g = environment_from_dict(

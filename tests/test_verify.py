@@ -112,10 +112,11 @@ class TestEvaluateChain:
             checked += 1
 
     def test_pure_retry_edge_is_rejected(self):
-        g = environment_from_dict({"risk_table": {"Low": [1e-13, 1.0]},
-                                   "nodes": 2, "edges": [[0, 1, 1.0, "Low"]]})
+        # the loader refuses this row, but OutcomeProbs admits it within
+        # its sum tolerance when built directly
+        chain = FixedPolicyChain((0, 1), (OutcomeProbs(1e-13, 1.0, 0.0),))
         with pytest.raises(ValueError, match="singular"):
-            evaluate_chain(build_chain(g, (0, 1)))
+            evaluate_chain(chain)
 
     def test_corrupt_chain_raises(self):
         # a hand-built chain whose probabilities were tampered with after
