@@ -13,15 +13,14 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from .env import (load_default_environment, load_default_mission,
                   load_environment, load_mission)
 from .human import HeatParams, HumanState, apply_heat, build_heat_map
 from .planner import (UnreachableNodeError, check_reachable,
                       shortest_distance_path)
-from .sim import (DEFAULT_EPISODES_PER_LEVEL, DEFAULT_LEVELS, EpisodeConfig,
-                  load_sweep_config, run_episode, run_sweep, summarize)
+from .sim import (EpisodeConfig, load_sweep_config, read_sweep_config,
+                  run_episode, run_sweep, summarize)
 from .verify import (build_chain, evaluate_chain, export_prism,
                      plan_validated_path)
 
@@ -177,29 +176,16 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    if args.config is not None:
-        settings = load_sweep_config(args.config)
-        base = settings.base
-        levels = settings.levels
-        episodes = settings.episodes_per_level
-        workers = settings.workers
-    else:
-        env = _load_env(args.env)
-        mission = _load_mission(args.mission, env)
-        base = EpisodeConfig(env, mission, HeatParams(), 0.0, 0)
-        levels = DEFAULT_LEVELS
-        episodes = DEFAULT_EPISODES_PER_LEVEL
-        workers = 1
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    if args.levels is not None:
-        levels = args.levels
-    if args.episodes is not None:
-        episodes = args.episodes
-    if args.workers is not None:
-        workers = args.workers
-
-    report = run_sweep(base, levels, episodes, workers)
+    # flags overlay the configuration document, and load_sweep_config
+    # fills in whatever neither of them sets
+    doc = {} if args.config is None else read_sweep_config(args.config)
+    flags = {"environment": args.env, "mission": args.mission,
+             "seed": args.seed, "levels": args.levels,
+             "episodes_per_level": args.episodes, "workers": args.workers}
+    doc.update({k: v for k, v in flags.items() if v is not None})
+    settings = load_sweep_config(doc)
+    report = run_sweep(settings.base, settings.levels,
+                       settings.episodes_per_level, settings.workers)
     text = summarize(report)
     if args.out is not None:
         _write_atomic(args.out, text)

@@ -18,10 +18,10 @@ RISK_CLASS_NAMES = ("Low", "Medium", "High", "Severe")
 
 # class -> (p_success, p_retry); p_fail is the remaining mass
 DEFAULT_RISK_TABLE = {
-    "Low": (0.999, 0.0009),
-    "Medium": (0.99, 0.009),
-    "High": (0.95, 0.045),
-    "Severe": (0.90, 0.09),
+    "Low": (0.999, 0.000975),
+    "Medium": (0.99, 0.00975),
+    "High": (0.95, 0.04875),
+    "Severe": (0.90, 0.0975),
 }
 
 PROB_SUM_TOL = 1e-12
@@ -114,9 +114,13 @@ class EnvironmentGraph:
             lst.sort(key=lambda pair: pair[0])
         self._eff = {name: effective_success(p)
                      for name, p in self.risk_table.items()}
-        # memo tables for repeated planning queries; safe because the
-        # cached values are pure functions of the (immutable) graph
-        self._path_cache = {}
+        # the one owner of every planning cache; each entry is a pure
+        # function of the (immutable) graph and its key
+        self._memo = {}
+
+    def __getstate__(self):
+        # memo entries are derived data, so a pickled graph starts cold
+        return {**self.__dict__, "_memo": {}}
 
     @property
     def nodes(self):
@@ -241,6 +245,8 @@ def _reject_unknown(doc, allowed, what):
 
 
 def _parse_risk_table(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("'risk_table' must be an object")
     table = {}
     for name, pair in doc.items():
         if name not in RISK_CLASS_NAMES:
@@ -299,6 +305,8 @@ def environment_from_dict(doc):
         table = {name: OutcomeProbs.from_pair(*pair)
                  for name, pair in DEFAULT_RISK_TABLE.items()}
 
+    if not isinstance(doc["edges"], list):
+        raise ValueError("'edges' must be a list")
     edges = []
     for i, row in enumerate(doc["edges"]):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
@@ -314,6 +322,8 @@ def environment_from_dict(doc):
             raise ValueError(f"edge {i}: distance {dist!r} not positive")
         if not math.isfinite(dist):
             raise ValueError(f"edge {i}: distance {dist!r} not finite")
+        if not isinstance(risk, str):
+            raise ValueError(f"edge {i}: risk class {risk!r} must be a name")
         if risk not in table:
             raise ValueError(f"edge {i}: risk class {risk!r} not declared")
         if a > b:

@@ -9,6 +9,9 @@ the probability planner, then the node sequence itself).
 On a base graph the probability planner runs one full search per source
 and memoizes it as a tree of paths to every reachable node; task ordering
 reads all of its legs from the trees of its start and of each task.
+Every memo lives in the graph's own table: distance paths per (start,
+goal), search trees per source, and mission plans per (tasks, end node,
+start).  Heat overlays memoize nothing.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def shortest_distance_path(g, start, goal):
         found = shortest_distance_path(g.base, start, goal)
         return path_from_nodes(g, found.nodes) if found is not None else None
 
-    cache = g._path_cache.setdefault("dist", {})
+    cache = g._memo.setdefault("dist", {})
     hit = cache.get((start, goal))
     if hit is not None or (start, goal) in cache:
         return hit
@@ -136,7 +139,7 @@ def _success_tree(g, start):
     Memoized per start on an EnvironmentGraph, whose probabilities never
     change; computed afresh on a heat overlay.
     """
-    cache = (g._path_cache.setdefault("prob", {})
+    cache = (g._memo.setdefault("prob", {})
              if isinstance(g, EnvironmentGraph) else {})
     tree = cache.get(start)
     if tree is None:
@@ -215,8 +218,15 @@ def order_tasks(g, mission, from_node):
     the winner is the smallest (-probability, distance, task order).
     Beyond 8 a greedy nearest-task order is used instead and a warning is
     emitted.  The end node is always appended after the last task.
+    Memoized per (tasks, end node, start) on an EnvironmentGraph.
     """
     g.check_node(from_node)
+    memo = (g._memo.setdefault("plan", {})
+            if isinstance(g, EnvironmentGraph) else {})
+    key = (mission.tasks, mission.end, from_node)
+    plan = memo.get(key)
+    if plan is not None:
+        return plan
     check_reachable(g, mission, (from_node,))
     sources = (from_node,) + mission.tasks
     trees = {s: _success_tree(g, s) for s in sources}
@@ -232,7 +242,9 @@ def order_tasks(g, mission, from_node):
         legs.append(trees[here][t])
         here = t
     prob, dist = _compose(legs)
-    return MissionPlan(order + (mission.end,), tuple(legs), prob, dist)
+    plan = memo[key] = MissionPlan(order + (mission.end,), tuple(legs),
+                                   prob, dist)
+    return plan
 
 
 def _best_order(trees, tasks, end):

@@ -13,18 +13,17 @@ independent of worker count and chunking.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import (EnvironmentGraph, MissionSpec, effective_success,
+from .env import (EnvironmentGraph, MissionSpec, _read_json,
                   load_default_environment, load_default_mission,
                   load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
-                    heated_probs, step_human)
+                    step_human)
 from .planner import (Path, check_reachable, order_tasks,
                       shortest_distance_path)
 from .verify import plan_validated_path
@@ -36,6 +35,7 @@ CATASTROPHIC = "catastrophic"
 REDIRECT_PATIENCE = 2
 
 _TICK_GUARD = 100_000  # sanity bound; a legitimate episode never gets close
+_STEP_MEMO_LIMIT = 200_000  # the graph's step memo is cleared past this size
 
 _MASK64 = (1 << 64) - 1
 
@@ -119,12 +119,13 @@ def _conflicts(human, a, b):
     return p is not None and (a in p.nodes or b in p.nodes)
 
 
-def run_episode(cfg, plan_cache=None, path_cache=None):
+def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    plan_cache ({start: MissionPlan}) and path_cache (validated plans
-    keyed by robot, objective and heat signature) may be shared across
-    episodes on the same environment/mission to amortise planning work.
+    Each tick's step (the validated path, the heated outcome row of its
+    first edge and that row's effective success) depends only on the
+    robot, the objective and the heat map, so it is memoized on the
+    environment graph and shared by every episode that graph runs.
     """
     g = cfg.environment
     mission = cfg.mission
@@ -138,14 +139,8 @@ def run_episode(cfg, plan_cache=None, path_cache=None):
                        uncertainty=cfg.uncertainty)
     human = _ensure_prediction(g, human)
 
-    if plan_cache is not None and robot in plan_cache:
-        plan = plan_cache[robot]
-    else:
-        plan = order_tasks(g, mission, robot)
-        if plan_cache is not None:
-            plan_cache[robot] = plan
-
-    route = plan.ordered_tasks
+    route = order_tasks(g, mission, robot).ordered_tasks
+    step_memo = g._memo.setdefault("step", {})
     idx = 0
     while idx < len(route) and robot == route[idx]:
         idx += 1
@@ -170,24 +165,20 @@ def run_episode(cfg, plan_cache=None, path_cache=None):
 
         target = route[idx]
         key = (robot, target, tuple(sorted(heat.items())))
-        cached = path_cache.get(key) if path_cache is not None else None
-        if cached is not None:
-            path = cached
-        else:
+        step = step_memo.get(key)
+        if step is None:
             heated = apply_heat(g, heat)
             path, _ = plan_validated_path(g, robot, target, heated=heated)
             if path is None:
                 raise RuntimeError(
                     f"objective {target} unreachable from {robot}")
-            if path_cache is not None:
-                if len(path_cache) > 200_000:
-                    path_cache.clear()
-                path_cache[key] = path
-
+            edge = g.edge(robot, path.nodes[1])
+            step = (path, heated.probs(edge), heated.effective(edge))
+            if len(step_memo) > _STEP_MEMO_LIMIT:
+                step_memo.clear()
+            step_memo[key] = step
+        path, probs, eff = step
         nxt = path.nodes[1]
-        edge = g.edge(robot, nxt)
-        probs = heated_probs(g.probs(edge), heat.get(edge.key(), 0.0))
-        eff = effective_success(probs)
 
         if eff < mission.threshold:
             holds += 1
@@ -253,24 +244,18 @@ _WORKER = {}
 def _sweep_worker_init(base, levels):
     _WORKER["base"] = base
     _WORKER["levels"] = levels
-    _WORKER["plan_cache"] = {}
-    _WORKER["path_cache"] = {}
 
 
 def _sweep_chunk(job):
-    level_index, lo, hi = job
-    base = _WORKER["base"]
-    u = _WORKER["levels"][level_index]
-    return _run_chunk(base, u, level_index, lo, hi,
-                      _WORKER["plan_cache"], _WORKER["path_cache"])
+    return _run_chunk(_WORKER["base"], _WORKER["levels"], *job)
 
 
-def _run_chunk(base, u, level_index, lo, hi, plan_cache, path_cache):
+def _run_chunk(base, levels, level_index, lo, hi):
     succ = fail = total_rd = rd_episodes = max_rd = 0
     for j in range(lo, hi):
-        cfg = replace(base, uncertainty=u,
+        cfg = replace(base, uncertainty=levels[level_index],
                       seed=derive_seed(base.seed, level_index, j))
-        out = run_episode(cfg, plan_cache, path_cache)
+        out = run_episode(cfg)
         if out.success:
             succ += 1
         else:
@@ -322,10 +307,8 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         a[4] = max(a[4], max_rd)
 
     if workers == 1:
-        plan_cache, path_cache = {}, {}
         for i, lo, hi in jobs:
-            fold(_run_chunk(base, levels[i], i, lo, hi,
-                            plan_cache, path_cache))
+            fold(_run_chunk(base, levels, i, lo, hi))
     else:
         with ProcessPoolExecutor(
                 max_workers=workers,
@@ -378,37 +361,45 @@ class SweepSettings:
     workers: int
 
 
+def read_sweep_config(path):
+    """Parse a sweep configuration file into a document.
+
+    Relative environment and mission references are joined to the file's
+    directory, so the document resolves from the working directory.
+    """
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError("sweep config must be an object")
+    base_dir = os.path.dirname(os.fspath(path))
+    for name in ("environment", "mission"):
+        if isinstance(doc.get(name), str):
+            doc[name] = os.path.join(base_dir, doc[name])
+    return doc
+
+
 def load_sweep_config(source):
     """Load sweep settings from a JSON file path or parsed document.
 
-    Omitted environment/mission fall back to the bundled defaults;
-    relative file references resolve against the config file's directory.
+    This is the one place sweep defaults are resolved: an omitted field
+    takes the bundled environment or mission, HeatParams(), DEFAULT_LEVELS,
+    DEFAULT_EPISODES_PER_LEVEL, seed 0 or 1 worker.  A file's relative
+    references resolve against its directory, a document's against the
+    working directory.
     """
-    base_dir = "."
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{source}: not valid JSON ({exc})") from exc
-        base_dir = os.path.dirname(os.fspath(source)) or "."
-    if not isinstance(doc, dict):
-        raise ValueError("sweep config must be an object")
+    doc = source if isinstance(source, dict) else read_sweep_config(source)
     unknown = set(doc) - _SWEEP_FIELDS
     if unknown:
         raise ValueError(f"sweep config: unknown field(s) {sorted(unknown)}")
-
-    def resolve(ref):
-        return ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
+    for name in ("environment", "mission"):
+        if not isinstance(doc.get(name, ""), str):
+            raise ValueError(f"sweep config: {name!r} must be a file name")
 
     if "environment" in doc:
-        env = load_environment(resolve(doc["environment"]))
+        env = load_environment(doc["environment"])
     else:
         env = load_default_environment()
     if "mission" in doc:
-        mission = load_mission(resolve(doc["mission"]), env)
+        mission = load_mission(doc["mission"], env)
     else:
         mission = load_default_mission(env)
 
@@ -419,9 +410,16 @@ def load_sweep_config(source):
     if unknown:
         raise ValueError(f"sweep config heat: unknown field(s) "
                          f"{sorted(unknown)}")
+    for name, v in heat_doc.items():
+        if not isinstance(v, (int, float)):
+            raise ValueError(f"sweep config heat: {name!r} must be a number")
     heat = HeatParams(**{k: float(v) for k, v in heat_doc.items()})
 
-    levels = tuple(float(u) for u in doc.get("levels", DEFAULT_LEVELS))
+    levels = doc.get("levels", DEFAULT_LEVELS)
+    if (not isinstance(levels, (list, tuple))
+            or not all(isinstance(u, (int, float)) for u in levels)):
+        raise ValueError("sweep config: 'levels' must be a list of numbers")
+    levels = tuple(float(u) for u in levels)
     episodes = doc.get("episodes_per_level", DEFAULT_EPISODES_PER_LEVEL)
     seed = doc.get("seed", 0)
     workers = doc.get("workers", 1)

@@ -1,10 +1,14 @@
 """Command-line surface: output shapes and exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import risknav
 from risknav import cli, sim
 from risknav.cli import main
 
@@ -261,8 +265,9 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 2
 
-    def test_flags_override_the_config(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.json"
+    def test_flags_override_the_config(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        cfg = tmp_path / "cfg" / "sweep.json"
         cfg.write_text(json.dumps({"levels": [0.0], "episodes_per_level": 4,
                                    "seed": 8}))
         _, flagged, _ = run(capsys, "sweep", "--config", str(cfg),
@@ -270,6 +275,46 @@ class TestSweep:
         lines = flagged.strip().split("\n")
         assert len(lines) == 3
         assert int(lines[1].split(",")[2]) + int(lines[1].split(",")[3]) == 3
+
+        # a 1-task mission whose threshold no edge meets: every episode
+        # times out on its first hold; the flag path is relative to the
+        # working directory, not to the config file
+        (tmp_path / "stuck.json").write_text(json.dumps(
+            {"start": 0, "tasks": [1], "end": 2, "safe_locations": [],
+             "threshold": 1.0, "hold_limit": 1}))
+        monkeypatch.chdir(tmp_path)
+        _, flagged, _ = run(capsys, "sweep", "--config", str(cfg),
+                            "--mission", "stuck.json")
+        _, bare, _ = run(capsys, "sweep", "--mission", "stuck.json",
+                         "--levels", "0", "--episodes", "4", "--seed", "8")
+        assert flagged == bare
+        assert flagged.split("\n")[1] == "0,0.00,0,4,0,0.00,0"
+
+    def test_wrongly_shaped_input_exits_one_without_a_traceback(self,
+                                                                tmp_path):
+        # JSON that parses but has the wrong shape, run as a real process
+        src = pathlib.Path(risknav.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        cases = [
+            ("--env", {"nodes": 2, "edges": 5}),
+            ("--env", {"nodes": 2, "edges": [[0, 1, 1.0, ["Low"]]]}),
+            ("--env", {"nodes": 2, "risk_table": [1], "edges": []}),
+            ("--config", {"levels": 0.5}),
+            ("--config", {"levels": [None]}),
+            ("--config", {"heat": {"path_heat": None}}),
+            ("--config", {"environment": 5}),
+        ]
+        for i, (flag, doc) in enumerate(cases):
+            target = tmp_path / f"case{i}.json"
+            target.write_text(json.dumps(doc))
+            proc = subprocess.run(
+                [sys.executable, "-m", "risknav.cli", "sweep", flag,
+                 str(target), "--episodes", "1"],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 1, doc
+            assert "Traceback" not in proc.stderr, doc
+            assert proc.stderr.startswith("error: "), doc
+            assert proc.stderr.count("\n") == 1, doc
 
     def test_bad_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"

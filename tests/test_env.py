@@ -49,9 +49,9 @@ class TestEffectiveSuccess:
         assert effective_success(OutcomeProbs(0.5, 0.5, 0.0)) == 1.0
 
     def test_medium_class_value(self):
-        # 0.99 / (0.99 + 0.001), retries resolved geometrically
+        # 0.99 / (0.99 + 0.00025), retries resolved geometrically
         p = OutcomeProbs.from_pair(*DEFAULT_RISK_TABLE["Medium"])
-        assert effective_success(p) == pytest.approx(0.9989909182643794,
+        assert effective_success(p) == pytest.approx(0.9997475385003787,
                                                      abs=1e-15)
 
     def test_all_default_classes_ordered_by_risk(self):
@@ -103,6 +103,8 @@ class TestEnvironmentSchema:
     def test_missing_edges_rejected(self):
         with pytest.raises(ValueError, match="'nodes' and 'edges'"):
             environment_from_dict({"nodes": 2})
+        with pytest.raises(ValueError, match="'edges' must be a list"):
+            environment_from_dict({"nodes": 2, "edges": 5})
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -128,6 +130,9 @@ class TestEnvironmentSchema:
         with pytest.raises(ValueError, match="'Lava'"):
             environment_from_dict(
                 {"nodes": 2, "edges": [[0, 1, 1.0, "Lava"]]})
+        with pytest.raises(ValueError, match="edge 0: risk class"):
+            environment_from_dict(
+                {"nodes": 2, "edges": [[0, 1, 1.0, ["Low"]]]})
 
     def test_unknown_risk_class_name_rejected(self):
         doc = {"nodes": 2, "risk_table": {"Weird": [0.9, 0.05]},
@@ -138,6 +143,9 @@ class TestEnvironmentSchema:
     def test_bad_risk_pair_rejected(self):
         doc = {"nodes": 2, "risk_table": {"Low": [0.9]}, "edges": []}
         with pytest.raises(ValueError, match="p_success, p_retry"):
+            environment_from_dict(doc)
+        doc = {"nodes": 2, "risk_table": [1], "edges": []}
+        with pytest.raises(ValueError, match="'risk_table' must be"):
             environment_from_dict(doc)
 
     def test_pure_retry_row_rejected(self):

@@ -1,12 +1,15 @@
 """Episode mechanics, sweep aggregation, configuration loading."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from risknav import (EpisodeConfig, HeatParams, environment_from_dict,
-                     mission_from_dict, run_episode, run_sweep, summarize)
+                     load_default_environment, load_default_mission,
+                     mission_from_dict, run_episode, run_sweep, sim,
+                     summarize)
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
 
@@ -125,6 +128,57 @@ class TestRunEpisode:
             if out.redirects:
                 seen += 1
         assert seen > 0
+
+
+class TestGraphMemo:
+    def test_a_used_graph_gives_the_outcomes_of_fresh_graphs(self,
+                                                             monkeypatch):
+        configs = [(u, seed) for u in (0.0, 0.5, 1.0) for seed in range(15)]
+
+        def outcome(g, u, seed):
+            return run_episode(EpisodeConfig(
+                g, load_default_mission(g), HeatParams(), u, seed))
+
+        fresh = [outcome(load_default_environment(), u, seed)
+                 for u, seed in configs]
+
+        # another mission (same end node, other tasks) and other heat fill
+        # the graph's memo first
+        g = load_default_environment()
+        other = mission_from_dict({"start": "random", "tasks": [3, 9],
+                                   "end": 22, "safe_locations": [13, 20]}, g)
+        run_sweep(EpisodeConfig(g, other, HeatParams(0.9, 0.3), 0.0, 4),
+                  [0.0, 0.7], 20)
+        assert g._memo["plan"] and g._memo["step"]
+
+        # a low bound makes the step memo clear itself inside episodes
+        limit = 8
+        monkeypatch.setattr(sim, "_STEP_MEMO_LIMIT", limit)
+        misses = []
+        real = sim.plan_validated_path
+
+        def counted(*args, **kwargs):
+            misses.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "plan_validated_path", counted)
+        used, most = [], 0
+        for u, seed in configs:
+            before = len(misses)
+            used.append(outcome(g, u, seed))
+            most = max(most, len(misses) - before)
+        assert most > limit + 1
+        assert len(g._memo["step"]) <= limit + 1
+        assert used == fresh
+
+    def test_a_pickled_graph_carries_no_memo(self):
+        g = load_default_environment()
+        run_episode(EpisodeConfig(g, load_default_mission(g), HeatParams(),
+                                  0.5, 1))
+        clone = pickle.loads(pickle.dumps(g))
+        assert g._memo["plan"] and g._memo["step"]
+        assert clone._memo == {}
+        assert clone == g
 
 
 class TestRunSweep:
@@ -250,6 +304,13 @@ class TestSweepConfig:
             load_sweep_config({"episodes_per_level": "many"})
         with pytest.raises(ValueError, match="seed"):
             load_sweep_config({"seed": 1.5})
+        for doc, field in [({"levels": 0.5}, "levels"),
+                           ({"levels": "0"}, "levels"),
+                           ({"levels": [None]}, "levels"),
+                           ({"heat": {"path_heat": None}}, "path_heat"),
+                           ({"environment": 5}, "environment")]:
+            with pytest.raises(ValueError, match=field):
+                load_sweep_config(doc)
 
     def test_invalid_json_names_the_file(self, tmp_path):
         bad = tmp_path / "broken.json"
