@@ -13,10 +13,12 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from .env import (load_default_environment, load_default_mission,
                   load_environment, load_mission)
-from .human import HeatParams, HumanState, apply_heat, build_heat_map
+from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
+                    predict_human_path)
 from .planner import (UnreachableNodeError, check_reachable,
                       shortest_distance_path)
 from .sim import (EpisodeConfig, load_sweep_config, read_sweep_config,
@@ -61,12 +63,8 @@ def _parse_human(g, text):
     except ValueError:
         raise ValueError(
             f"--human {text!r}: fields must be numeric") from None
-    g.check_node(pos)
-    g.check_node(goal)
-    predicted = shortest_distance_path(g, pos, goal)
-    if predicted is None:
-        raise ValueError(f"--human {text!r}: goal unreachable from position")
-    return HumanState(pos, goal, u, predicted)
+    human = HumanState(pos, goal, u)
+    return replace(human, predicted_path=predict_human_path(g, human))
 
 
 def _levels_arg(text):

@@ -238,6 +238,11 @@ _MISSION_FIELDS = {"start", "tasks", "end", "safe_locations",
                    "threshold", "hold_limit"}
 
 
+def _is_number(v, kinds=(int, float)):
+    """isinstance for a JSON value; true and false load as bools, not ints."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def _reject_unknown(doc, allowed, what):
     unknown = set(doc) - allowed
     if unknown:
@@ -253,7 +258,7 @@ def _parse_risk_table(doc):
             raise ValueError(f"risk class {name!r} not one of "
                              f"{list(RISK_CLASS_NAMES)}")
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(p, (int, float)) for p in pair)):
+                or not all(_is_number(p) for p in pair)):
             raise ValueError(f"risk class {name!r}: expected "
                              "[p_success, p_retry]")
         try:
@@ -276,7 +281,7 @@ def environment_from_dict(doc):
 
     nodes = doc["nodes"]
     labels, xy = {}, {}
-    if isinstance(nodes, int):
+    if _is_number(nodes, int):
         count = nodes
     elif isinstance(nodes, list):
         count = len(nodes)
@@ -291,7 +296,7 @@ def environment_from_dict(doc):
             if "xy" in entry:
                 pt = entry["xy"]
                 if (not isinstance(pt, (list, tuple)) or len(pt) != 2
-                        or not all(isinstance(v, (int, float)) for v in pt)):
+                        or not all(_is_number(v) for v in pt)):
                     raise ValueError(f"node {i}: xy must be [x, y]")
                 xy[i] = (float(pt[0]), float(pt[1]))
     else:
@@ -312,13 +317,13 @@ def environment_from_dict(doc):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise ValueError(f"edge {i}: expected [a, b, distance, class]")
         a, b, dist, risk = row
-        if not isinstance(a, int) or not isinstance(b, int):
+        if not _is_number(a, int) or not _is_number(b, int):
             raise ValueError(f"edge {i}: endpoints must be integers")
         if a == b:
             raise ValueError(f"edge {i}: self-loop at node {a}")
         if not (0 <= a < count) or not (0 <= b < count):
             raise ValueError(f"edge {i}: endpoint outside 0..{count - 1}")
-        if not isinstance(dist, (int, float)) or not dist > 0:
+        if not _is_number(dist) or not dist > 0:
             raise ValueError(f"edge {i}: distance {dist!r} not positive")
         if not math.isfinite(dist):
             raise ValueError(f"edge {i}: distance {dist!r} not finite")
@@ -365,13 +370,13 @@ def mission_from_dict(doc, env=None):
     start = doc["start"]
     if start == "random":
         start = None
-    elif not isinstance(start, int):
+    elif not _is_number(start, int):
         raise ValueError(f"start {start!r} must be a node id or \"random\"")
 
     def int_list(name):
         val = doc[name]
         if (not isinstance(val, list)
-                or not all(isinstance(v, int) for v in val)):
+                or not all(_is_number(v, int) for v in val)):
             raise ValueError(f"mission field {name!r} must be a list of "
                              "node ids")
         return tuple(val)
@@ -379,13 +384,13 @@ def mission_from_dict(doc, env=None):
     tasks = int_list("tasks")
     safe = int_list("safe_locations")
     end = doc["end"]
-    if not isinstance(end, int):
+    if not _is_number(end, int):
         raise ValueError(f"end {end!r} must be a node id")
     threshold = doc.get("threshold", 0.9)
     hold_limit = doc.get("hold_limit", 10)
-    if not isinstance(threshold, (int, float)):
+    if not _is_number(threshold):
         raise ValueError(f"threshold {threshold!r} must be a number")
-    if not isinstance(hold_limit, int):
+    if not _is_number(hold_limit, int):
         raise ValueError(f"hold_limit {hold_limit!r} must be an integer")
 
     m = MissionSpec(start, tasks, end, safe, float(threshold), hold_limit)

@@ -150,11 +150,8 @@ def step_human(g, h, rng):
     nbrs = g.neighbors(h.position)
     if not nbrs:
         return h
-    pos = nbrs[int(rng.integers(len(nbrs)))][0]
-    predicted = None
-    if h.goal is not None:
-        predicted = shortest_distance_path(g, pos, h.goal)
-        if predicted is None:
-            raise ValueError(f"human goal {h.goal} unreachable from "
-                             f"position {pos}")
-    return replace(h, position=pos, predicted_path=predicted)
+    h = HumanState(nbrs[int(rng.integers(len(nbrs)))][0], h.goal,
+                   h.uncertainty)
+    if h.goal is None:
+        return h
+    return replace(h, predicted_path=predict_human_path(g, h))

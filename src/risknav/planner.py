@@ -1,17 +1,17 @@
 """Dual-objective path finding and mission-level task ordering.
 
-Two planners over the same graph: one minimises travelled distance, one
-maximises the product of per-edge effective success probabilities.  Both
-resolve ties deterministically so repeated runs return byte-identical
-plans: equal-cost candidates are ordered by (objective, then distance for
-the probability planner, then the node sequence itself).
+Two objectives searched by one Dijkstra: minimum travelled distance, and
+maximum product of per-edge effective success probabilities.  Ties break
+deterministically so repeated runs return byte-identical plans: equal-cost
+candidates are ordered by (objective, then distance for the probability
+planner, then the node sequence itself).
 
-On a base graph the probability planner runs one full search per source
-and memoizes it as a tree of paths to every reachable node; task ordering
-reads all of its legs from the trees of its start and of each task.
-Every memo lives in the graph's own table: distance paths per (start,
-goal), search trees per source, and mission plans per (tasks, end node,
-start).  Heat overlays memoize nothing.
+On a base graph each objective runs one full search per source and
+memoizes it as a tree of paths to every reachable node; on a heat overlay
+the search stops at the goal.  Task ordering reads its legs from the
+max-success trees of its start and of each task.  Every memo lives in the
+graph's own table: search trees per objective and source, and mission
+plans per (tasks, end node, start).  Heat overlays memoize nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvironmentGraph, HeatedGraph, MissionSpec
+from .env import EnvironmentGraph
 
 
 @dataclass(frozen=True)
@@ -67,59 +67,22 @@ def path_from_nodes(g, nodes):
     return Path(nodes, dist, prob)
 
 
-def shortest_distance_path(g, start, goal):
-    """Minimum-distance path from start to goal, or None if unreachable.
+def _search(g, start, goal=None, by_distance=False):
+    """Dijkstra from start, as {node: (key, dist, seq)}.
 
-    Among equal-distance paths the lexicographically smallest node
-    sequence wins.  Heat overlays never change distances, so the search
-    runs on the base graph and only the probability annotation is
-    recomputed against g.
-    """
-    g.check_node(start)
-    g.check_node(goal)
-    if isinstance(g, HeatedGraph):
-        found = shortest_distance_path(g.base, start, goal)
-        return path_from_nodes(g, found.nodes) if found is not None else None
-
-    cache = g._memo.setdefault("dist", {})
-    hit = cache.get((start, goal))
-    if hit is not None or (start, goal) in cache:
-        return hit
-
-    best = None
-    done = set()
-    heap = [(0.0, (start,))]
-    while heap:
-        dist, seq = heapq.heappop(heap)
-        node = seq[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == goal:
-            best = path_from_nodes(g, seq)
-            break
-        for nbr, edge in g.neighbors(node):
-            if nbr not in done:
-                heapq.heappush(heap, (dist + edge.distance, seq + (nbr,)))
-    cache[(start, goal)] = best
-    return best
-
-
-def _success_search(g, start, goal=None):
-    """Max-success Dijkstra from start, as {node: (-prob, dist, seq)}.
-
-    Each node maps to the heap entry that first popped it.  The search
-    stops after popping goal, or runs to exhaustion when goal is None;
-    the pops before goal are the same either way.  The heap key carries
-    the running product directly (multiplied in path order), so every
-    entry is bit-identical to a brute-force enumeration using the same
-    arithmetic.
+    Each node maps to the heap entry that first popped it.  The key is the
+    distance, or without by_distance the negated success probability with
+    the distance to break its ties (distance entries carry 0.0 there).  The
+    search stops after popping goal, or runs to exhaustion when goal is
+    None; the pops before goal are the same either way.  Both objectives
+    accumulate in path order, and (-p) * e is exactly -(p * e), so entries
+    are bit-identical to a brute-force enumeration with the same arithmetic.
     """
     popped = {}
-    heap = [(-1.0, 0.0, (start,))]
+    heap = [(0.0 if by_distance else -1.0, 0.0, (start,))]
     while heap:
         entry = heapq.heappop(heap)
-        neg_prob, dist, seq = entry
+        key, dist, seq = entry
         node = seq[-1]
         if node in popped:
             continue
@@ -128,45 +91,63 @@ def _success_search(g, start, goal=None):
             break
         for nbr, edge in g.neighbors(node):
             if nbr not in popped:
-                heapq.heappush(heap, ((-neg_prob) * g.effective(edge) * -1.0,
-                                      dist + edge.distance, seq + (nbr,)))
+                if by_distance:
+                    heapq.heappush(heap, (key + edge.distance, 0.0,
+                                          seq + (nbr,)))
+                else:
+                    heapq.heappush(heap, (key * g.effective(edge),
+                                          dist + edge.distance, seq + (nbr,)))
     return popped
 
 
-def _success_tree(g, start):
+def _to_path(g, entry, by_distance):
+    key, dist, seq = entry
+    return path_from_nodes(g, seq) if by_distance else Path(seq, dist, -key)
+
+
+def _tree(g, start, by_distance=False):
     """{target: Path} for every node reachable from start.
 
-    Memoized per start on an EnvironmentGraph, whose probabilities never
-    change; computed afresh on a heat overlay.
+    Memoized per start and objective on an EnvironmentGraph, whose
+    probabilities never change; computed afresh on a heat overlay.
     """
-    cache = (g._memo.setdefault("prob", {})
+    cache = (g._memo.setdefault("dist" if by_distance else "prob", {})
              if isinstance(g, EnvironmentGraph) else {})
     tree = cache.get(start)
     if tree is None:
-        popped = _success_search(g, start)
-        tree = cache[start] = {node: Path(seq, dist, -neg_prob)
-                               for node, (neg_prob, dist, seq)
-                               in popped.items()}
+        tree = cache[start] = {
+            node: _to_path(g, entry, by_distance)
+            for node, entry in _search(g, start, None, by_distance).items()}
     return tree
+
+
+def _best_path(g, start, goal, by_distance):
+    # base graphs read the memoized tree of start; heat overlays stop the
+    # search at goal
+    g.check_node(start)
+    g.check_node(goal)
+    if isinstance(g, EnvironmentGraph):
+        return _tree(g, start, by_distance).get(goal)
+    hit = _search(g, start, goal, by_distance).get(goal)
+    return None if hit is None else _to_path(g, hit, by_distance)
+
+
+def shortest_distance_path(g, start, goal):
+    """Minimum-distance path from start to goal, or None if unreachable.
+
+    Among equal-distance paths the lexicographically smallest node
+    sequence wins.
+    """
+    return _best_path(g, start, goal, by_distance=True)
 
 
 def max_success_path(g, start, goal):
     """Maximum effective-success path from start to goal, or None.
 
     Ties on probability break by smaller total distance, then by the
-    lexicographically smallest node sequence.  On an EnvironmentGraph the
-    path is read from the memoized search tree of start; on a heat overlay
-    the search stops at goal.
+    lexicographically smallest node sequence.
     """
-    g.check_node(start)
-    g.check_node(goal)
-    if isinstance(g, EnvironmentGraph):
-        return _success_tree(g, start).get(goal)
-    hit = _success_search(g, start, goal).get(goal)
-    if hit is None:
-        return None
-    neg_prob, dist, seq = hit
-    return Path(seq, dist, -neg_prob)
+    return _best_path(g, start, goal, by_distance=False)
 
 
 @dataclass(frozen=True)
@@ -201,7 +182,7 @@ def check_reachable(g, mission, starts=None):
                   else (g.check_node(mission.start),))
     for t in mission.tasks + (mission.end,):
         g.check_node(t)
-        tree = _success_tree(g, t)
+        tree = _tree(g, t)
         for s in starts:
             if s not in tree:
                 kind = "end node" if t == mission.end else "task"
@@ -229,7 +210,7 @@ def order_tasks(g, mission, from_node):
         return plan
     check_reachable(g, mission, (from_node,))
     sources = (from_node,) + mission.tasks
-    trees = {s: _success_tree(g, s) for s in sources}
+    trees = {s: _tree(g, s) for s in sources}
     if len(mission.tasks) > 8:
         order = _greedy_order(g, mission, from_node)
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import (EnvironmentGraph, MissionSpec, _read_json,
+from .env import (EnvironmentGraph, MissionSpec, _is_number, _read_json,
                   load_default_environment, load_default_mission,
                   load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
@@ -67,7 +67,7 @@ class EpisodeConfig:
         if not (0.0 <= self.uncertainty <= 1.0):
             raise ValueError(
                 f"uncertainty {self.uncertainty} outside [0, 1]")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_number(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed {self.seed!r} must be a non-negative "
                              "integer")
 
@@ -81,42 +81,28 @@ class EpisodeOutcome:
     final_robot_node: int
 
 
-def _single_node_path(pos):
-    return Path((pos,), 0.0, 1.0)
-
-
-def _ensure_prediction(g, h):
+def _ensure_prediction(h):
     # an idle human (no goal) is predicted to stay in place, so its
-    # presence still heats the edges around it
-    p = h.predicted_path
-    if p is not None and p.nodes[0] == h.position:
+    # presence still heats the edges around it; a human with a goal
+    # always carries its prediction
+    if h.predicted_path is not None:
         return h
-    if h.goal is None:
-        return replace(h, predicted_path=_single_node_path(h.position))
-    return replace(h, predicted_path=shortest_distance_path(
-        g, h.position, h.goal))
+    return replace(h, predicted_path=Path((h.position,), 0.0, 1.0))
 
 
 def _redirect_target(g, mission, human_pos, robot_path_nodes):
-    # nearest safe location by distance that is off the robot's path
-    best = None
-    for s in mission.safe_locations:
-        if s in robot_path_nodes:
-            continue
-        leg = shortest_distance_path(g, human_pos, s)
-        if leg is None:
-            continue
-        key = (leg.total_distance, s)
-        if best is None or key < best:
-            best = key
-    return best[1] if best is not None else None
+    """The human's leg to the nearest safe location by distance that is
+    off the robot's path (ties to the smaller node id), or None."""
+    legs = [shortest_distance_path(g, human_pos, s)
+            for s in mission.safe_locations if s not in robot_path_nodes]
+    return min((leg for leg in legs if leg is not None), default=None,
+               key=lambda leg: (leg.total_distance, leg.nodes[-1]))
 
 
 def _conflicts(human, a, b):
-    if human.position == a or human.position == b:
-        return True
-    p = human.predicted_path
-    return p is not None and (a in p.nodes or b in p.nodes)
+    # the prediction is never missing here, and starts at the position
+    nodes = human.predicted_path.nodes
+    return a in nodes or b in nodes
 
 
 def run_episode(cfg):
@@ -137,7 +123,7 @@ def run_episode(cfg):
         robot = int(rng.integers(g.node_count))
     human = HumanState(position=int(rng.integers(g.node_count)),
                        uncertainty=cfg.uncertainty)
-    human = _ensure_prediction(g, human)
+    human = _ensure_prediction(human)
 
     route = order_tasks(g, mission, robot).ordered_tasks
     step_memo = g._memo.setdefault("step", {})
@@ -158,7 +144,7 @@ def run_episode(cfg):
         steps += 1
 
         human = step_human(g, human, rng)
-        human = _ensure_prediction(g, human)
+        human = _ensure_prediction(human)
         if outstanding is not None:
             settled = settled + 1 if human.position == outstanding else 0
         heat = build_heat_map(g, human, cfg.heat)
@@ -189,15 +175,13 @@ def run_episode(cfg):
             if (holds >= REDIRECT_PATIENCE and not redirect_tried
                     and (outstanding is None or settled >= 2)
                     and _conflicts(human, robot, nxt)):
-                safe = _redirect_target(g, mission, human.position,
-                                        path.nodes)
-                if safe is not None:
-                    human = replace(
-                        human, goal=safe,
-                        predicted_path=shortest_distance_path(
-                            g, human.position, safe))
+                leg = _redirect_target(g, mission, human.position,
+                                       path.nodes)
+                if leg is not None:
+                    outstanding = leg.nodes[-1]
+                    human = replace(human, goal=outstanding,
+                                    predicted_path=leg)
                     redirects += 1
-                    outstanding = safe
                     settled = 0
                 redirect_tried = True
             if holds >= mission.hold_limit:
@@ -411,21 +395,21 @@ def load_sweep_config(source):
         raise ValueError(f"sweep config heat: unknown field(s) "
                          f"{sorted(unknown)}")
     for name, v in heat_doc.items():
-        if not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ValueError(f"sweep config heat: {name!r} must be a number")
     heat = HeatParams(**{k: float(v) for k, v in heat_doc.items()})
 
     levels = doc.get("levels", DEFAULT_LEVELS)
     if (not isinstance(levels, (list, tuple))
-            or not all(isinstance(u, (int, float)) for u in levels)):
+            or not all(_is_number(u) for u in levels)):
         raise ValueError("sweep config: 'levels' must be a list of numbers")
     levels = tuple(float(u) for u in levels)
     episodes = doc.get("episodes_per_level", DEFAULT_EPISODES_PER_LEVEL)
     seed = doc.get("seed", 0)
     workers = doc.get("workers", 1)
-    if not isinstance(episodes, int) or not isinstance(workers, int):
+    if not _is_number(episodes, int) or not _is_number(workers, int):
         raise ValueError("episodes_per_level and workers must be integers")
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         raise ValueError("seed must be an integer")
 
     base = EpisodeConfig(env, mission, heat, levels[0] if levels else 0.0,

@@ -92,6 +92,14 @@ class TestPlan:
         assert code == 1
         assert "--human" in err
 
+    def test_unreachable_human_goal_exits_one(self, capsys, tmp_path):
+        env = write_env(tmp_path, split_doc)
+        code, out, err = run(capsys, "plan", "0", "1", "--env", env,
+                             "--human", "0,3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: human goal 3 unreachable from position 0\n"
+
     def test_out_of_range_node_exits_one(self, capsys):
         code, _, err = run(capsys, "plan", "25", "99")
         assert code == 1

@@ -105,6 +105,9 @@ class TestEnvironmentSchema:
             environment_from_dict({"nodes": 2})
         with pytest.raises(ValueError, match="'edges' must be a list"):
             environment_from_dict({"nodes": 2, "edges": 5})
+        # JSON true loads as a bool, which Python counts as the int 1
+        with pytest.raises(ValueError, match="'nodes' must be an integer"):
+            environment_from_dict({"nodes": True, "edges": []})
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -115,11 +118,15 @@ class TestEnvironmentSchema:
         with pytest.raises(ValueError, match="edge 0"):
             environment_from_dict(
                 {"nodes": 2, "edges": [[0, 5, 1.0, "Low"]]})
+        with pytest.raises(ValueError, match="edge 0: endpoints"):
+            environment_from_dict(
+                {"nodes": 2, "edges": [[False, True, 1.0, "Low"]]})
 
     def test_nonpositive_distance_rejected(self):
-        with pytest.raises(ValueError, match="not positive"):
-            environment_from_dict(
-                {"nodes": 2, "edges": [[0, 1, 0.0, "Low"]]})
+        for dist in (0.0, True):
+            with pytest.raises(ValueError, match="not positive"):
+                environment_from_dict(
+                    {"nodes": 2, "edges": [[0, 1, dist, "Low"]]})
 
     def test_infinite_distance_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -141,9 +148,10 @@ class TestEnvironmentSchema:
             environment_from_dict(doc)
 
     def test_bad_risk_pair_rejected(self):
-        doc = {"nodes": 2, "risk_table": {"Low": [0.9]}, "edges": []}
-        with pytest.raises(ValueError, match="p_success, p_retry"):
-            environment_from_dict(doc)
+        for pair in ([0.9], [True, 0.0]):
+            doc = {"nodes": 2, "risk_table": {"Low": pair}, "edges": []}
+            with pytest.raises(ValueError, match="p_success, p_retry"):
+                environment_from_dict(doc)
         doc = {"nodes": 2, "risk_table": [1], "edges": []}
         with pytest.raises(ValueError, match="'risk_table' must be"):
             environment_from_dict(doc)
@@ -166,9 +174,10 @@ class TestEnvironmentSchema:
         assert g.xy == {0: (1.0, 2.0)}
 
     def test_bad_xy_rejected(self):
-        doc = {"nodes": [{"xy": [1]}], "edges": []}
-        with pytest.raises(ValueError, match="xy"):
-            environment_from_dict(doc)
+        for pt in ([1], [True, 2]):
+            doc = {"nodes": [{"xy": pt}], "edges": []}
+            with pytest.raises(ValueError, match="xy"):
+                environment_from_dict(doc)
 
     def test_round_trip_preserves_graph(self):
         rng = np.random.default_rng(5)
@@ -225,6 +234,20 @@ class TestMissionSpec:
         del doc["end"]
         with pytest.raises(ValueError, match="'end'"):
             mission_from_dict(doc)
+
+    def test_field_types_checked(self):
+        # JSON true and false load as bools, which Python counts as ints
+        for name, value, message in [("start", True, "start"),
+                                     ("tasks", [False], "'tasks'"),
+                                     ("safe_locations", [True],
+                                      "'safe_locations'"),
+                                     ("end", True, "end"),
+                                     ("threshold", True, "threshold"),
+                                     ("hold_limit", True, "hold_limit")]:
+            doc = self.doc()
+            doc[name] = value
+            with pytest.raises(ValueError, match=message):
+                mission_from_dict(doc)
 
     def test_threshold_range_enforced(self):
         with pytest.raises(ValueError, match="threshold"):

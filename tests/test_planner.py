@@ -142,6 +142,9 @@ class TestMaxSuccessPath:
         assert reheated.success_probability > 0.9
 
     def test_heated_overlay_matches_oracle(self):
+        # every pair on the base map and its overlay: base queries after
+        # the first per source read a warm memoized tree, overlay queries
+        # run the search that stops at the goal
         rng = np.random.default_rng(13)
         for _ in range(40):
             g = random_environment(rng, max_nodes=7)
@@ -149,10 +152,14 @@ class TestMaxSuccessPath:
             heat = {k: float(rng.uniform(0.0, 0.99)) for k in keys
                     if rng.random() < 0.4}
             hot = apply_heat(g, heat)
-            s = int(rng.integers(g.node_count))
-            t = int(rng.integers(g.node_count))
-            assert max_success_path(hot, s, t).nodes \
-                == oracle_max_success(hot, s, t)
+            for graph, s, t in itertools.product((g, hot), g.nodes, g.nodes):
+                for plan, oracle in ((shortest_distance_path, oracle_shortest),
+                                     (max_success_path, oracle_max_success)):
+                    found = plan(graph, s, t)
+                    expect = oracle(graph, s, t)
+                    assert found.nodes == expect
+                    assert (found.total_distance, found.success_probability) \
+                        == path_stats(graph, expect)
 
 
 def oracle_plan(legs, tasks, end, start):

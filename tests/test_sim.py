@@ -8,8 +8,8 @@ import pytest
 
 from risknav import (EpisodeConfig, HeatParams, environment_from_dict,
                      load_default_environment, load_default_mission,
-                     mission_from_dict, run_episode, run_sweep, sim,
-                     summarize)
+                     mission_from_dict, run_episode, run_sweep,
+                     shortest_distance_path, sim, summarize)
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
 
@@ -62,9 +62,10 @@ class TestEpisodeConfig:
 
     def test_seed_must_be_a_nonnegative_int(self, default_env,
                                             default_mission):
-        with pytest.raises(ValueError, match="seed"):
-            EpisodeConfig(default_env, default_mission, HeatParams(),
-                          0.0, -3)
+        for seed in (-3, True):
+            with pytest.raises(ValueError, match="seed"):
+                EpisodeConfig(default_env, default_mission, HeatParams(),
+                              0.0, seed)
 
 
 class TestRunEpisode:
@@ -128,6 +129,37 @@ class TestRunEpisode:
             if out.redirects:
                 seen += 1
         assert seen > 0
+
+
+class TestRedirectTarget:
+    def doc(self):
+        # from the human at 0: safe spots 1 (1.0, on the robot's path),
+        # 2 (1.5 over two hops), 3 (2.0), 4 (1.5 in one hop) and the
+        # isolated 5
+        return {"nodes": 8,
+                "edges": [[0, 1, 1.0, "Low"], [0, 3, 2.0, "Low"],
+                          [0, 4, 1.5, "Low"], [0, 7, 0.5, "Low"],
+                          [2, 7, 1.0, "Low"], [1, 6, 1.0, "Low"]]}
+
+    def mission(self, safe):
+        return mission_from_dict({"start": 0, "tasks": [], "end": 6,
+                                  "safe_locations": safe})
+
+    def test_nearest_off_path_safe_location_by_distance(self):
+        g = environment_from_dict(self.doc())
+        leg = sim._redirect_target(g, self.mission([5, 1, 4, 3, 2]), 0,
+                                   (1, 6))
+        # 2 and 4 tie at 1.5 and the smaller id wins, whatever the list order
+        assert leg == shortest_distance_path(g, 0, 2)
+        assert leg.nodes == (0, 7, 2)
+        leg = sim._redirect_target(g, self.mission([5, 3, 4]), 0, (1, 6))
+        assert leg.nodes == (0, 4)
+
+    def test_no_reachable_off_path_candidate_means_no_redirect(self):
+        g = environment_from_dict(self.doc())
+        assert sim._redirect_target(g, self.mission([5, 1]), 0,
+                                    (1, 6)) is None
+        assert sim._redirect_target(g, self.mission([]), 0, (1, 6)) is None
 
 
 class TestGraphMemo:
@@ -304,10 +336,17 @@ class TestSweepConfig:
             load_sweep_config({"episodes_per_level": "many"})
         with pytest.raises(ValueError, match="seed"):
             load_sweep_config({"seed": 1.5})
+        # JSON true and false load as bools, which Python counts as ints
         for doc, field in [({"levels": 0.5}, "levels"),
                            ({"levels": "0"}, "levels"),
                            ({"levels": [None]}, "levels"),
+                           ({"levels": [True]}, "levels"),
+                           ({"seed": True}, "seed"),
+                           ({"episodes_per_level": True}, "integers"),
+                           ({"workers": False}, "integers"),
                            ({"heat": {"path_heat": None}}, "path_heat"),
+                           ({"heat": {"neighbor_heat": False}},
+                            "neighbor_heat"),
                            ({"environment": 5}, "environment")]:
             with pytest.raises(ValueError, match=field):
                 load_sweep_config(doc)
