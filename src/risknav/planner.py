@@ -68,21 +68,25 @@ def path_from_nodes(g, nodes):
 
 
 def _search(g, start, goal=None, by_distance=False):
-    """Dijkstra from start, as {node: (key, dist, seq)}.
+    """Dijkstra from start, as {node: (key, dist, seq, prob)}.
 
     Each node maps to the heap entry that first popped it.  The key is the
     distance, or without by_distance the negated success probability with
-    the distance to break its ties (distance entries carry 0.0 there).  The
-    search stops after popping goal, or runs to exhaustion when goal is
-    None; the pops before goal are the same either way.  Both objectives
-    accumulate in path order, and (-p) * e is exactly -(p * e), so entries
-    are bit-identical to a brute-force enumeration with the same arithmetic.
+    the distance to break its ties.  Distance entries carry 0.0 as dist
+    and their success probability as prob; probability entries carry None
+    there, which no comparison reaches, since each seq is pushed once.
+    The search stops after popping goal, or runs to exhaustion when goal
+    is None; the pops before goal are the same either way.  Both
+    objectives accumulate in path order, and (-p) * e is exactly
+    -(p * e), so entries are bit-identical to a brute-force enumeration
+    with the same arithmetic.
     """
     popped = {}
-    heap = [(0.0 if by_distance else -1.0, 0.0, (start,))]
+    heap = [(0.0, 0.0, (start,), 1.0) if by_distance
+            else (-1.0, 0.0, (start,), None)]
     while heap:
         entry = heapq.heappop(heap)
-        key, dist, seq = entry
+        key, dist, seq, prob = entry
         node = seq[-1]
         if node in popped:
             continue
@@ -93,16 +97,18 @@ def _search(g, start, goal=None, by_distance=False):
             if nbr not in popped:
                 if by_distance:
                     heapq.heappush(heap, (key + edge.distance, 0.0,
-                                          seq + (nbr,)))
+                                          seq + (nbr,),
+                                          prob * g.effective(edge)))
                 else:
                     heapq.heappush(heap, (key * g.effective(edge),
-                                          dist + edge.distance, seq + (nbr,)))
+                                          dist + edge.distance, seq + (nbr,),
+                                          None))
     return popped
 
 
-def _to_path(g, entry, by_distance):
-    key, dist, seq = entry
-    return path_from_nodes(g, seq) if by_distance else Path(seq, dist, -key)
+def _to_path(entry, by_distance):
+    key, dist, seq, prob = entry
+    return Path(seq, key, prob) if by_distance else Path(seq, dist, -key)
 
 
 def _tree(g, start, by_distance=False):
@@ -116,7 +122,7 @@ def _tree(g, start, by_distance=False):
     tree = cache.get(start)
     if tree is None:
         tree = cache[start] = {
-            node: _to_path(g, entry, by_distance)
+            node: _to_path(entry, by_distance)
             for node, entry in _search(g, start, None, by_distance).items()}
     return tree
 
@@ -129,7 +135,7 @@ def _best_path(g, start, goal, by_distance):
     if isinstance(g, EnvironmentGraph):
         return _tree(g, start, by_distance).get(goal)
     hit = _search(g, start, goal, by_distance).get(goal)
-    return None if hit is None else _to_path(g, hit, by_distance)
+    return None if hit is None else _to_path(hit, by_distance)
 
 
 def shortest_distance_path(g, start, goal):

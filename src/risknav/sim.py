@@ -24,9 +24,8 @@ from .env import (EnvironmentGraph, MissionSpec, _is_number, _read_json,
                   load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     step_human)
-from .planner import (Path, check_reachable, order_tasks,
+from .planner import (Path, check_reachable, max_success_path, order_tasks,
                       shortest_distance_path)
-from .verify import plan_validated_path
 
 HOLD_TIMEOUT = "hold_timeout"
 CATASTROPHIC = "catastrophic"
@@ -108,10 +107,12 @@ def _conflicts(human, a, b):
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    Each tick's step (the validated path, the heated outcome row of its
-    first edge and that row's effective success) depends only on the
-    robot, the objective and the heat map, so it is memoized on the
-    environment graph and shared by every episode that graph runs.
+    Each tick's step (the max-success path on the heated map, the heated
+    outcome row of its first edge and that row's effective success)
+    depends only on the robot, the objective and the heat map, so it is
+    memoized on the environment graph and shared by every episode that
+    graph runs.  The robot moves only while that effective success is at
+    least the mission threshold.
     """
     g = cfg.environment
     mission = cfg.mission
@@ -154,7 +155,7 @@ def run_episode(cfg):
         step = step_memo.get(key)
         if step is None:
             heated = apply_heat(g, heat)
-            path, _ = plan_validated_path(g, robot, target, heated=heated)
+            path = max_success_path(heated, robot, target)
             if path is None:
                 raise RuntimeError(
                     f"objective {target} unreachable from {robot}")
@@ -279,6 +280,9 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         for lo in range(0, episodes_per_level, chunk):
             jobs.append((i, lo, min(lo + chunk, episodes_per_level)))
 
+    # a fork pool starts every worker at the first submit, so never ask
+    # for more processes than there are jobs
+    workers = min(workers, len(jobs))
     agg = {i: [0, 0, 0, 0, 0] for i in range(len(levels))}
 
     def fold(part):

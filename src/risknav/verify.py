@@ -89,8 +89,7 @@ def export_prism(chain, path_label):
     with shortest round-trip repr and states are numbered along the path.
     Returns (model_text, props_text).
     """
-    k = len(chain.probs)
-    done, dead = k, k + 1
+    done, dead = chain.done_index, chain.dead_index
     lines = [
         f"// {path_label}",
         "// fixed-policy traversal of path " +

@@ -185,8 +185,8 @@ class TestSimulate:
     def test_tick_guard_exits_two(self, capsys, tmp_path, monkeypatch):
         # one success in 2**20 attempts and no failure mass: the episode
         # outlasts the tick guard, lowered here to keep the test fast.
-        # Seed 0 starts the human on the far component, so the robot's
-        # edge stays unheated and its chain validates exactly.
+        # Seed 0 starts the human on the far component; under seed 1 the
+        # human heats the robot's edge, which the tick still only plans.
         monkeypatch.setattr(sim, "_TICK_GUARD", 50)
         env = write_env(tmp_path, {
             "risk_table": {"Low": [9.5367431640625e-07, 0.9999990463256836]},
@@ -195,11 +195,12 @@ class TestSimulate:
         mission.write_text(json.dumps(
             {"start": 0, "tasks": [1], "end": 0, "safe_locations": [1],
              "threshold": 0.9, "hold_limit": 10}))
-        code, out, err = run(capsys, "simulate", "--env", env,
-                             "--mission", str(mission))
-        assert code == 2
-        assert out == ""
-        assert err == "error: episode exceeded the tick guard\n"
+        for seed in ("0", "1"):
+            code, out, err = run(capsys, "simulate", "--env", env,
+                                 "--mission", str(mission), "--seed", seed)
+            assert code == 2
+            assert out == ""
+            assert err == "error: episode exceeded the tick guard\n"
 
     def test_erratic_human_on_isolated_node(self, capsys, tmp_path):
         env = write_env(tmp_path, {

@@ -2,8 +2,13 @@
 
 import pathlib
 import re
+import runpy
+import sys
 
-README = pathlib.Path(__file__).parent.parent / "README.md"
+from risknav.sim import CSV_HEADER
+
+ROOT = pathlib.Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def python_api_block():
@@ -20,3 +25,23 @@ def test_python_api_example_runs():
     assert ns["r_now"] < 0.5 < ns["r"]
     assert ns["detour"].nodes != ns["path"].nodes
     assert ns["r_detour"] > 0.9
+
+
+def test_demos_run(capsys, monkeypatch):
+    section = README.read_text().split("## Demos", 1)[1]
+    demos = re.findall(r"^python3 (demos/\S+\.py)", section, re.MULTILINE)
+    # the sweep demo takes its documented episodes-per-level argument and
+    # prints the CSV first (its banner goes to stderr)
+    first_lines = {
+        "demos/map_tour.py": ([], "bundled map: 30 nodes, 42 edges"),
+        "demos/replan_walkthrough.py": (
+            [], "human at 15 heading to 6, predicted walk: "
+                "15 -> 11 -> 8 -> 4 -> 6"),
+        "demos/uncertainty_report.py": (["20"], CSV_HEADER),
+    }
+    assert sorted(demos) == sorted(first_lines)
+    for demo in demos:
+        args, first = first_lines[demo]
+        monkeypatch.setattr(sys, "argv", [demo] + args)
+        runpy.run_path(str(ROOT / demo), run_name="__main__")
+        assert capsys.readouterr().out.splitlines()[0] == first

@@ -187,13 +187,13 @@ class TestGraphMemo:
         limit = 8
         monkeypatch.setattr(sim, "_STEP_MEMO_LIMIT", limit)
         misses = []
-        real = sim.plan_validated_path
+        real = sim.max_success_path
 
         def counted(*args, **kwargs):
             misses.append(None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "plan_validated_path", counted)
+        monkeypatch.setattr(sim, "max_success_path", counted)
         used, most = [], 0
         for u, seed in configs:
             before = len(misses)
@@ -248,6 +248,36 @@ class TestRunSweep:
         one = run_sweep(base, [0.0, 0.6], 60, workers=1)
         two = run_sweep(base, [0.0, 0.6], 60, workers=2)
         assert summarize(one) == summarize(two)
+
+    def test_no_more_processes_than_jobs(self, default_env, default_mission,
+                                         monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            # runs the jobs in this process and records its size
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "_WORKER", {})
+        base = EpisodeConfig(default_env, default_mission, HeatParams(),
+                             0.0, 5)
+        # one level of 50 episodes is one job: the sweep stays in process
+        run_sweep(base, [0.0], 50, workers=2)
+        assert pools == []
+        # two levels are two jobs, so a third process would sit idle
+        run_sweep(base, [0.0, 0.6], 50, workers=3)
+        assert pools == [2]
 
     def test_level_outside_unit_interval_rejected(self, default_env,
                                                   default_mission):
