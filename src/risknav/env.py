@@ -25,6 +25,7 @@ DEFAULT_RISK_TABLE = {
 }
 
 PROB_SUM_TOL = 1e-12
+_STEP_MEMO_LIMIT = 200_000  # a per-tick memo table is cleared past this size
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,15 @@ class Edge:
         return self.b if node == self.a else self.a
 
 
+def _remember(table, key, value):
+    """Store value under key in a per-tick memo table and return it; the
+    table is emptied first once it holds more than _STEP_MEMO_LIMIT."""
+    if len(table) > _STEP_MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
 class EnvironmentGraph:
     """Undirected risk-classed graph; treat as immutable once constructed.
 
@@ -114,8 +124,8 @@ class EnvironmentGraph:
             lst.sort(key=lambda pair: pair[0])
         self._eff = {name: effective_success(p)
                      for name, p in self.risk_table.items()}
-        # the one owner of every planning cache; each entry is a pure
-        # function of the (immutable) graph and its key
+        # the one owner of every planning and per-tick cache; each entry
+        # is a pure function of the (immutable) graph and its key
         self._memo = {}
 
     def __getstate__(self):
@@ -169,6 +179,7 @@ class HeatedGraph:
 
     def __init__(self, base, overrides):
         self.base = base
+        self._adj = base._adj
         self.overrides = dict(overrides)
         self._eff = {key: effective_success(p)
                      for key, p in self.overrides.items()}

@@ -4,14 +4,15 @@ The robot models the human as walking the shortest-distance path toward a
 goal, deviating to a uniformly random neighbour with probability equal to
 its uncertainty.  Predicted presence is projected onto the graph as edge
 "heat"; heat scales success mass down (blocked attempts become retries,
-never catastrophes).
+never catastrophes).  A follow step is a pure function of the predicted
+nodes, goal and uncertainty, so step_human memoizes it on the base graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .env import OutcomeProbs, HeatedGraph
+from .env import EnvironmentGraph, HeatedGraph, OutcomeProbs, _remember
 from .planner import Path, path_from_nodes, shortest_distance_path
 
 
@@ -91,11 +92,6 @@ def build_heat_map(g, h, params):
     return heat
 
 
-# heated rows recur constantly during simulation (few distinct
-# (class, heat) combinations), so construction is memoized
-_HEATED_MEMO = {}
-
-
 def heated_probs(p, h):
     """Outcome row of p under heat h: success scales by (1 - h), the
     removed mass becomes retry, p_fail is untouched."""
@@ -103,16 +99,9 @@ def heated_probs(p, h):
         return p
     if not (0.0 <= h < 1.0):
         raise ValueError(f"heat {h} outside [0, 1)")
-    key = (p.p_success, p.p_retry, p.p_fail, h)
-    hit = _HEATED_MEMO.get(key)
-    if hit is None:
-        scaled = p.p_success * (1.0 - h)
-        moved = p.p_success - scaled
-        hit = OutcomeProbs(scaled, p.p_retry + moved, p.p_fail)
-        if len(_HEATED_MEMO) > 10_000:
-            _HEATED_MEMO.clear()
-        _HEATED_MEMO[key] = hit
-    return hit
+    scaled = p.p_success * (1.0 - h)
+    moved = p.p_success - scaled
+    return OutcomeProbs(scaled, p.p_retry + moved, p.p_fail)
 
 
 def apply_heat(g, heat_map):
@@ -120,7 +109,10 @@ def apply_heat(g, heat_map):
 
     The removed mass moves to retry; p_fail is untouched, so heat models
     temporary blockage rather than added danger on a single attempt.
+    On a base graph the heated row of each (risk class, heat) is memoized.
     """
+    memo = (g._memo.setdefault("heated", {})
+            if isinstance(g, EnvironmentGraph) else {})
     overrides = {}
     for key, h in heat_map.items():
         if h == 0.0:
@@ -128,7 +120,11 @@ def apply_heat(g, heat_map):
         edge = g.edge(*key)
         if edge is None:
             raise ValueError(f"heat on missing edge {key}")
-        overrides[edge.key()] = heated_probs(g.probs(edge), h)
+        row = memo.get((edge.risk, h))
+        if row is None:
+            row = _remember(memo, (edge.risk, h),
+                            heated_probs(g.probs(edge), h))
+        overrides[edge.key()] = row
     return HeatedGraph(g, overrides)
 
 
@@ -145,8 +141,15 @@ def step_human(g, h, rng):
         path = h.predicted_path
         if path is None or len(path.nodes) < 2:
             return h
-        tail = path_from_nodes(g, path.nodes[1:])
-        return replace(h, position=tail.nodes[0], predicted_path=tail)
+        memo = (g._memo.setdefault("follow", {})
+                if isinstance(g, EnvironmentGraph) else {})
+        key = (path.nodes, h.goal, h.uncertainty)
+        nxt = memo.get(key)
+        if nxt is None:
+            tail = path_from_nodes(g, path.nodes[1:])
+            nxt = _remember(memo, key, HumanState(
+                tail.nodes[0], h.goal, h.uncertainty, tail))
+        return nxt
     nbrs = g.neighbors(h.position)
     if not nbrs:
         return h
@@ -154,4 +157,5 @@ def step_human(g, h, rng):
                    h.uncertainty)
     if h.goal is None:
         return h
-    return replace(h, predicted_path=predict_human_path(g, h))
+    return HumanState(h.position, h.goal, h.uncertainty,
+                      predict_human_path(g, h))

@@ -93,7 +93,7 @@ def _search(g, start, goal=None, by_distance=False):
         popped[node] = entry
         if node == goal:
             break
-        for nbr, edge in g.neighbors(node):
+        for nbr, edge in g._adj[node]:
             if nbr not in popped:
                 if by_distance:
                     heapq.heappush(heap, (key + edge.distance, 0.0,

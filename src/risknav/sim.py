@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env import (EnvironmentGraph, MissionSpec, _is_number, _read_json,
-                  load_default_environment, load_default_mission,
+                  _remember, load_default_environment, load_default_mission,
                   load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     step_human)
@@ -34,7 +34,6 @@ CATASTROPHIC = "catastrophic"
 REDIRECT_PATIENCE = 2
 
 _TICK_GUARD = 100_000  # sanity bound; a legitimate episode never gets close
-_STEP_MEMO_LIMIT = 200_000  # the graph's step memo is cleared past this size
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,6 +65,8 @@ class EpisodeConfig:
         if not (0.0 <= self.uncertainty <= 1.0):
             raise ValueError(
                 f"uncertainty {self.uncertainty} outside [0, 1]")
+        if not isinstance(self.heat, HeatParams):
+            raise ValueError(f"heat {self.heat!r} must be a HeatParams")
         if not _is_number(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed {self.seed!r} must be a non-negative "
                              "integer")
@@ -78,15 +79,6 @@ class EpisodeOutcome:
     steps: int
     redirects: int
     final_robot_node: int
-
-
-def _ensure_prediction(h):
-    # an idle human (no goal) is predicted to stay in place, so its
-    # presence still heats the edges around it; a human with a goal
-    # always carries its prediction
-    if h.predicted_path is not None:
-        return h
-    return replace(h, predicted_path=Path((h.position,), 0.0, 1.0))
 
 
 def _redirect_target(g, mission, human_pos, robot_path_nodes):
@@ -107,12 +99,13 @@ def _conflicts(human, a, b):
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    Each tick's step (the max-success path on the heated map, the heated
-    outcome row of its first edge and that row's effective success)
-    depends only on the robot, the objective and the heat map, so it is
-    memoized on the environment graph and shared by every episode that
-    graph runs.  The robot moves only while that effective success is at
-    least the mission threshold.
+    What a tick derives is memoized on the environment graph and shared
+    by every episode that graph runs: the human's sorted heat map per
+    (position, predicted nodes, uncertainty, heat parameters), and the
+    step (the max-success path on the heated map, the heated outcome row
+    of its first edge and that row's effective success) per robot,
+    objective and heat map.  The robot moves only while that effective
+    success is at least the mission threshold.
     """
     g = cfg.environment
     mission = cfg.mission
@@ -124,10 +117,11 @@ def run_episode(cfg):
         robot = int(rng.integers(g.node_count))
     human = HumanState(position=int(rng.integers(g.node_count)),
                        uncertainty=cfg.uncertainty)
-    human = _ensure_prediction(human)
 
     route = order_tasks(g, mission, robot).ordered_tasks
+    heat_memo = g._memo.setdefault("heat", {})
     step_memo = g._memo.setdefault("step", {})
+    heat_params = (cfg.heat.path_heat, cfg.heat.neighbor_heat)
     idx = 0
     while idx < len(route) and robot == route[idx]:
         idx += 1
@@ -145,25 +139,31 @@ def run_episode(cfg):
         steps += 1
 
         human = step_human(g, human, rng)
-        human = _ensure_prediction(human)
+        if human.predicted_path is None:
+            # an idle human is predicted to stay put, so it heats its edges
+            human = HumanState(human.position, human.goal, human.uncertainty,
+                               Path((human.position,), 0.0, 1.0))
         if outstanding is not None:
             settled = settled + 1 if human.position == outstanding else 0
-        heat = build_heat_map(g, human, cfg.heat)
+        hkey = (human.position, human.predicted_path.nodes,
+                human.uncertainty, heat_params)
+        heat = heat_memo.get(hkey)
+        if heat is None:
+            heat = _remember(heat_memo, hkey, tuple(sorted(
+                build_heat_map(g, human, cfg.heat).items())))
 
         target = route[idx]
-        key = (robot, target, tuple(sorted(heat.items())))
+        key = (robot, target, heat)
         step = step_memo.get(key)
         if step is None:
-            heated = apply_heat(g, heat)
+            heated = apply_heat(g, dict(heat))
             path = max_success_path(heated, robot, target)
             if path is None:
                 raise RuntimeError(
                     f"objective {target} unreachable from {robot}")
             edge = g.edge(robot, path.nodes[1])
-            step = (path, heated.probs(edge), heated.effective(edge))
-            if len(step_memo) > _STEP_MEMO_LIMIT:
-                step_memo.clear()
-            step_memo[key] = step
+            step = _remember(step_memo, key, (path, heated.probs(edge),
+                                              heated.effective(edge)))
         path, probs, eff = step
         nxt = path.nodes[1]
 
@@ -180,8 +180,8 @@ def run_episode(cfg):
                                        path.nodes)
                 if leg is not None:
                     outstanding = leg.nodes[-1]
-                    human = replace(human, goal=outstanding,
-                                    predicted_path=leg)
+                    human = HumanState(human.position, outstanding,
+                                       human.uncertainty, leg)
                     redirects += 1
                     settled = 0
                 redirect_tried = True

@@ -141,6 +141,17 @@ class TestApplyHeat:
         assert hot.effective(g.edge(0, 1)) == g.effective(g.edge(0, 1))
         assert hot.effective(g.edge(1, 2)) < g.effective(g.edge(1, 2))
 
+    def test_overlay_of_an_overlay_heats_twice(self):
+        # heated rows are memoized per (risk class, heat) on the base
+        # graph only, so a second layer starts from the first one's rows
+        g = environment_from_dict(line_doc())
+        once = apply_heat(g, {(1, 2): 0.5})
+        twice = apply_heat(once, {(1, 2): 0.5})
+        assert twice.probs(g.edge(1, 2)) \
+            == heated_probs(once.probs(g.edge(1, 2)), 0.5)
+        assert twice.probs(g.edge(1, 2)).p_success \
+            == pytest.approx(0.99 * 0.25)
+
     def test_base_graph_untouched(self):
         g = environment_from_dict(line_doc())
         before = g.probs(g.edge(1, 2))
@@ -169,6 +180,20 @@ class TestStepHuman:
         h = step_human(g, h, rng)
         assert h.position == 2
         assert h.predicted_path.nodes == (2,)
+
+    def test_heated_overlay_keeps_its_own_probabilities(self):
+        # only a base graph memoizes the follow step, so an overlay's
+        # tail carries the heated success probability
+        g = environment_from_dict(line_doc())
+        heated = apply_heat(g, {(1, 2): 0.5})
+        h = HumanState(0, 2, 0.0, path_from_nodes(g, (0, 1, 2)))
+        rng = np.random.default_rng(1)
+        assert step_human(g, h, rng).predicted_path \
+            == path_from_nodes(g, (1, 2))
+        assert step_human(heated, h, rng).predicted_path \
+            == path_from_nodes(heated, (1, 2))
+        assert (path_from_nodes(heated, (1, 2)).success_probability
+                < path_from_nodes(g, (1, 2)).success_probability)
 
     def test_arrived_human_stays_put(self):
         g = environment_from_dict(line_doc())

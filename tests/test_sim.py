@@ -6,12 +6,17 @@ import pickle
 import numpy as np
 import pytest
 
-from risknav import (EpisodeConfig, HeatParams, environment_from_dict,
+from risknav import (EpisodeConfig, HeatParams, HumanState, build_heat_map,
+                     env, environment_from_dict, human,
                      load_default_environment, load_default_mission,
-                     mission_from_dict, run_episode, run_sweep,
-                     shortest_distance_path, sim, summarize)
+                     mission_from_dict, predict_human_path, run_episode,
+                     run_sweep, shortest_distance_path, sim, step_human,
+                     summarize)
+from risknav.planner import Path
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
+
+from conftest import random_connected_doc
 
 
 def pocket_doc():
@@ -66,6 +71,11 @@ class TestEpisodeConfig:
             with pytest.raises(ValueError, match="seed"):
                 EpisodeConfig(default_env, default_mission, HeatParams(),
                               0.0, seed)
+
+    def test_heat_must_be_heat_params(self, default_env, default_mission):
+        for heat in ({"path_heat": 0.5}, None, (0.5, 0.3)):
+            with pytest.raises(ValueError, match="heat .* HeatParams"):
+                EpisodeConfig(default_env, default_mission, heat, 0.3, 1)
 
 
 class TestRunEpisode:
@@ -183,24 +193,28 @@ class TestGraphMemo:
                   [0.0, 0.7], 20)
         assert g._memo["plan"] and g._memo["step"]
 
-        # a low bound makes the step memo clear itself inside episodes
+        # a low bound makes every per-tick memo clear itself inside
+        # episodes
         limit = 8
-        monkeypatch.setattr(sim, "_STEP_MEMO_LIMIT", limit)
-        misses = []
-        real = sim.max_success_path
-
-        def counted(*args, **kwargs):
-            misses.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "max_success_path", counted)
+        monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
+        misses = {"step": [], "heat": [], "follow": []}
+        for name, mod, attr in (("step", sim, "max_success_path"),
+                                ("heat", sim, "build_heat_map"),
+                                ("follow", human, "path_from_nodes")):
+            def counted(*args, _real=getattr(mod, attr), _log=misses[name],
+                        **kwargs):
+                _log.append(None)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mod, attr, counted)
         used, most = [], 0
         for u, seed in configs:
-            before = len(misses)
+            before = len(misses["step"])
             used.append(outcome(g, u, seed))
-            most = max(most, len(misses) - before)
+            most = max(most, len(misses["step"]) - before)
         assert most > limit + 1
-        assert len(g._memo["step"]) <= limit + 1
+        for name, log in misses.items():
+            assert len(log) > limit + 1
+            assert len(g._memo[name]) <= limit + 1
         assert used == fresh
 
     def test_a_pickled_graph_carries_no_memo(self):
@@ -208,9 +222,61 @@ class TestGraphMemo:
         run_episode(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                   0.5, 1))
         clone = pickle.loads(pickle.dumps(g))
-        assert g._memo["plan"] and g._memo["step"]
+        for name in ("plan", "step", "heat", "follow", "heated"):
+            assert g._memo[name]
         assert clone._memo == {}
         assert clone == g
+
+    def test_random_maps_match_graphs_without_memos(self):
+        # episodes and a goal-seeking human on a graph with warm memos
+        # behave exactly as on a graph whose memos are emptied first;
+        # comparing the generator state after every step pins the draws
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            doc = random_connected_doc(rng, max_nodes=9)
+            used, fresh = (environment_from_dict(doc),
+                           environment_from_dict(doc))
+            nodes = [int(v) for v in rng.permutation(doc["nodes"])]
+            k = int(rng.integers(0, min(3, len(nodes) - 1) + 1))
+            mission = mission_from_dict({
+                "start": "random", "tasks": nodes[:k], "end": nodes[k],
+                "safe_locations": nodes[k + 1:k + 3],
+                "threshold": float(rng.uniform(0.5, 0.99))}, used)
+            heat = HeatParams(float(rng.uniform(0.0, 0.999)),
+                              float(rng.uniform(0.0, 0.999)))
+            for seed in range(6):
+                u = float(rng.choice([0.0, 0.3, 1.0]))
+                fresh._memo.clear()
+                assert (run_episode(EpisodeConfig(used, mission, heat, u,
+                                                  seed))
+                        == run_episode(EpisodeConfig(fresh, mission, heat, u,
+                                                     seed)))
+
+            # one walk with and without a goal and at each uncertainty, so
+            # no memo entry may stand in for another; each runs twice, so
+            # the second reads the memos the first filled
+            pos, goal = (int(v) for v in rng.integers(used.node_count,
+                                                      size=2))
+            path = predict_human_path(used, HumanState(pos, goal))
+            seed = int(rng.integers(1 << 30))
+            for start in [HumanState(pos, aim, u, path)
+                          for aim in (goal, None)
+                          for u in (0.0, 0.3, 1.0)] * 2:
+                a = b = start
+                ra = np.random.default_rng(seed)
+                rb = np.random.default_rng(seed)
+                for _ in range(12):
+                    fresh._memo.clear()
+                    a, b = step_human(used, a, ra), step_human(fresh, b, rb)
+                    assert a == b
+                    assert ra.bit_generator.state == rb.bit_generator.state
+
+            assert used._memo["heat"]
+            for key, heat_tuple in used._memo["heat"].items():
+                pos, nodes, u, params = key
+                h = HumanState(pos, None, u, Path(nodes, 0.0, 1.0))
+                assert heat_tuple == tuple(sorted(build_heat_map(
+                    used, h, HeatParams(*params)).items()))
 
 
 class TestRunSweep:
