@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from .env import (load_default_environment, load_default_mission,
                   load_environment, load_mission)
@@ -64,7 +63,7 @@ def _parse_human(g, text):
         raise ValueError(
             f"--human {text!r}: fields must be numeric") from None
     human = HumanState(pos, goal, u)
-    return replace(human, predicted_path=predict_human_path(g, human))
+    return HumanState(pos, goal, u, predict_human_path(g, human))
 
 
 def _levels_arg(text):

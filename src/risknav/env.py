@@ -132,6 +132,10 @@ class EnvironmentGraph:
         # memo entries are derived data, so a pickled graph starts cold
         return {**self.__dict__, "_memo": {}}
 
+    def memo(self, table):
+        """The graph's shared memo table of that name, created empty."""
+        return self._memo.setdefault(table, {})
+
     @property
     def nodes(self):
         return range(self.node_count)
@@ -174,7 +178,8 @@ class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
     Shares the base graph's topology and distances; only probability queries
-    differ.  Planner and validator code accepts either graph type.
+    differ.  Planner and validator code accepts either graph type.  An
+    overlay shares no memo: its probabilities are not its base's.
     """
 
     def __init__(self, base, overrides):
@@ -192,9 +197,9 @@ class HeatedGraph:
     def nodes(self):
         return self.base.nodes
 
-    @property
-    def risk_table(self):
-        return self.base.risk_table
+    def memo(self, table):
+        """A fresh table each call, so nothing derived here is kept."""
+        return {}
 
     def check_node(self, node):
         return self.base.check_node(node)

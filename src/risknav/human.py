@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import EnvironmentGraph, HeatedGraph, OutcomeProbs, _remember
+from .env import HeatedGraph, OutcomeProbs, _remember
 from .planner import Path, path_from_nodes, shortest_distance_path
 
 
@@ -111,8 +111,7 @@ def apply_heat(g, heat_map):
     temporary blockage rather than added danger on a single attempt.
     On a base graph the heated row of each (risk class, heat) is memoized.
     """
-    memo = (g._memo.setdefault("heated", {})
-            if isinstance(g, EnvironmentGraph) else {})
+    memo = g.memo("heated")
     overrides = {}
     for key, h in heat_map.items():
         if h == 0.0:
@@ -141,8 +140,7 @@ def step_human(g, h, rng):
         path = h.predicted_path
         if path is None or len(path.nodes) < 2:
             return h
-        memo = (g._memo.setdefault("follow", {})
-                if isinstance(g, EnvironmentGraph) else {})
+        memo = g.memo("follow")
         key = (path.nodes, h.goal, h.uncertainty)
         nxt = memo.get(key)
         if nxt is None:

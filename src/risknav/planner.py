@@ -9,9 +9,9 @@ planner, then the node sequence itself).
 On a base graph each objective runs one full search per source and
 memoizes it as a tree of paths to every reachable node; on a heat overlay
 the search stops at the goal.  Task ordering reads its legs from the
-max-success trees of its start and of each task.  Every memo lives in the
-graph's own table: search trees per objective and source, and mission
-plans per (tasks, end node, start).  Heat overlays memoize nothing.
+max-success trees of its start and of each task.  Every memo is a g.memo
+table: search trees per objective and source, and mission plans per
+(tasks, end node, start).  A heat overlay's tables are never kept.
 """
 
 from __future__ import annotations
@@ -70,23 +70,20 @@ def path_from_nodes(g, nodes):
 def _search(g, start, goal=None, by_distance=False):
     """Dijkstra from start, as {node: (key, dist, seq, prob)}.
 
-    Each node maps to the heap entry that first popped it.  The key is the
-    distance, or without by_distance the negated success probability with
-    the distance to break its ties.  Distance entries carry 0.0 as dist
-    and their success probability as prob; probability entries carry None
-    there, which no comparison reaches, since each seq is pushed once.
-    The search stops after popping goal, or runs to exhaustion when goal
-    is None; the pops before goal are the same either way.  Both
-    objectives accumulate in path order, and (-p) * e is exactly
-    -(p * e), so entries are bit-identical to a brute-force enumeration
+    Each node maps to the heap entry that first popped it: the key, then
+    the path's distance, node sequence and success probability.  The key
+    is the distance, or without by_distance the negated success
+    probability, and the distance breaks its ties.  The search stops
+    after popping goal, or runs to exhaustion when goal is None; the pops
+    before goal are the same either way.  Both objectives accumulate in
+    path order, so entries are bit-identical to a brute-force enumeration
     with the same arithmetic.
     """
     popped = {}
-    heap = [(0.0, 0.0, (start,), 1.0) if by_distance
-            else (-1.0, 0.0, (start,), None)]
+    heap = [(0.0 if by_distance else -1.0, 0.0, (start,), 1.0)]
     while heap:
         entry = heapq.heappop(heap)
-        key, dist, seq, prob = entry
+        _, dist, seq, prob = entry
         node = seq[-1]
         if node in popped:
             continue
@@ -95,34 +92,28 @@ def _search(g, start, goal=None, by_distance=False):
             break
         for nbr, edge in g._adj[node]:
             if nbr not in popped:
-                if by_distance:
-                    heapq.heappush(heap, (key + edge.distance, 0.0,
-                                          seq + (nbr,),
-                                          prob * g.effective(edge)))
-                else:
-                    heapq.heappush(heap, (key * g.effective(edge),
-                                          dist + edge.distance, seq + (nbr,),
-                                          None))
+                d = dist + edge.distance
+                p = prob * g.effective(edge)
+                heapq.heappush(heap, (d if by_distance else -p, d,
+                                      seq + (nbr,), p))
     return popped
 
 
-def _to_path(entry, by_distance):
-    key, dist, seq, prob = entry
-    return Path(seq, key, prob) if by_distance else Path(seq, dist, -key)
+def _to_path(entry):
+    _, dist, seq, prob = entry
+    return Path(seq, dist, prob)
 
 
 def _tree(g, start, by_distance=False):
     """{target: Path} for every node reachable from start.
 
-    Memoized per start and objective on an EnvironmentGraph, whose
-    probabilities never change; computed afresh on a heat overlay.
+    Memoized per start and objective in g.memo, kept on a base graph only.
     """
-    cache = (g._memo.setdefault("dist" if by_distance else "prob", {})
-             if isinstance(g, EnvironmentGraph) else {})
+    cache = g.memo("dist" if by_distance else "prob")
     tree = cache.get(start)
     if tree is None:
         tree = cache[start] = {
-            node: _to_path(entry, by_distance)
+            node: _to_path(entry)
             for node, entry in _search(g, start, None, by_distance).items()}
     return tree
 
@@ -135,7 +126,7 @@ def _best_path(g, start, goal, by_distance):
     if isinstance(g, EnvironmentGraph):
         return _tree(g, start, by_distance).get(goal)
     hit = _search(g, start, goal, by_distance).get(goal)
-    return None if hit is None else _to_path(hit, by_distance)
+    return None if hit is None else _to_path(hit)
 
 
 def shortest_distance_path(g, start, goal):
@@ -205,11 +196,10 @@ def order_tasks(g, mission, from_node):
     the winner is the smallest (-probability, distance, task order).
     Beyond 8 a greedy nearest-task order is used instead and a warning is
     emitted.  The end node is always appended after the last task.
-    Memoized per (tasks, end node, start) on an EnvironmentGraph.
+    Memoized per (tasks, end node, start) in g.memo.
     """
     g.check_node(from_node)
-    memo = (g._memo.setdefault("plan", {})
-            if isinstance(g, EnvironmentGraph) else {})
+    memo = g.memo("plan")
     key = (mission.tasks, mission.end, from_node)
     plan = memo.get(key)
     if plan is not None:

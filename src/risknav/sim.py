@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import (EnvironmentGraph, MissionSpec, _is_number, _read_json,
-                  _remember, load_default_environment, load_default_mission,
-                  load_environment, load_mission)
+from .env import (EnvironmentGraph, HeatedGraph, MissionSpec, _is_number,
+                  _read_json, _remember, load_default_environment,
+                  load_default_mission, load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     step_human)
 from .planner import (Path, check_reachable, max_success_path, order_tasks,
@@ -55,13 +55,18 @@ def derive_seed(base_seed, level_index, episode_index):
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    environment: EnvironmentGraph
+    environment: EnvironmentGraph | HeatedGraph
     mission: MissionSpec
     heat: HeatParams
     uncertainty: float
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.environment, (EnvironmentGraph, HeatedGraph)):
+            raise ValueError(f"environment {self.environment!r} must be an "
+                             "EnvironmentGraph or a HeatedGraph")
+        if not isinstance(self.mission, MissionSpec):
+            raise ValueError(f"mission {self.mission!r} must be a MissionSpec")
         if not (0.0 <= self.uncertainty <= 1.0):
             raise ValueError(
                 f"uncertainty {self.uncertainty} outside [0, 1]")
@@ -99,8 +104,8 @@ def _conflicts(human, a, b):
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    What a tick derives is memoized on the environment graph and shared
-    by every episode that graph runs: the human's sorted heat map per
+    What a tick derives is memoized in g.memo, which a base graph shares
+    with every episode it runs: the human's sorted heat map per
     (position, predicted nodes, uncertainty, heat parameters), and the
     step (the max-success path on the heated map, the heated outcome row
     of its first edge and that row's effective success) per robot,
@@ -119,8 +124,8 @@ def run_episode(cfg):
                        uncertainty=cfg.uncertainty)
 
     route = order_tasks(g, mission, robot).ordered_tasks
-    heat_memo = g._memo.setdefault("heat", {})
-    step_memo = g._memo.setdefault("step", {})
+    heat_memo = g.memo("heat")
+    step_memo = g.memo("step")
     heat_params = (cfg.heat.path_heat, cfg.heat.neighbor_heat)
     idx = 0
     while idx < len(route) and robot == route[idx]:

@@ -6,12 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
-from risknav import (EpisodeConfig, HeatParams, HumanState, build_heat_map,
-                     env, environment_from_dict, human,
-                     load_default_environment, load_default_mission,
-                     mission_from_dict, predict_human_path, run_episode,
-                     run_sweep, shortest_distance_path, sim, step_human,
-                     summarize)
+from risknav import (EpisodeConfig, HeatedGraph, HeatParams, HumanState,
+                     apply_heat, build_heat_map, env, environment_from_dict,
+                     human, load_default_environment, load_default_mission,
+                     max_success_path, mission_from_dict, order_tasks,
+                     predict_human_path, run_episode, run_sweep,
+                     shortest_distance_path, sim, step_human, summarize)
 from risknav.planner import Path
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
@@ -76,6 +76,19 @@ class TestEpisodeConfig:
         for heat in ({"path_heat": 0.5}, None, (0.5, 0.3)):
             with pytest.raises(ValueError, match="heat .* HeatParams"):
                 EpisodeConfig(default_env, default_mission, heat, 0.3, 1)
+
+    def test_mission_must_be_a_mission_spec(self, default_env,
+                                            default_mission):
+        for mission in (env.mission_to_dict(default_mission), None):
+            with pytest.raises(ValueError, match="mission .* MissionSpec"):
+                EpisodeConfig(default_env, mission, HeatParams(), 0.3, 1)
+
+    def test_environment_must_be_a_graph(self, default_env,
+                                         default_mission):
+        for graph in (env.environment_to_dict(default_env), None):
+            with pytest.raises(ValueError, match="environment .* "
+                               "EnvironmentGraph or a HeatedGraph"):
+                EpisodeConfig(graph, default_mission, HeatParams(), 0.3, 1)
 
 
 class TestRunEpisode:
@@ -277,6 +290,40 @@ class TestGraphMemo:
                 h = HumanState(pos, None, u, Path(nodes, 0.0, 1.0))
                 assert heat_tuple == tuple(sorted(build_heat_map(
                     used, h, HeatParams(*params)).items()))
+
+    def test_an_empty_overlay_runs_the_episodes_of_its_base(self,
+                                                             monkeypatch):
+        # an overlay without heat has its base's probabilities, so each
+        # episode on it must end alike after the same generator draws
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(real(seed)) or made[-1])
+        g = load_default_environment()
+        mission = load_default_mission(g)
+        for u in (0.0, 0.4, 1.0):
+            for seed in range(6):
+                runs = []
+                for graph in (g, apply_heat(g, {})):
+                    out = run_episode(EpisodeConfig(graph, mission,
+                                                    HeatParams(), u, seed))
+                    runs.append((out, made[-1].bit_generator.state))
+                assert runs[0] == runs[1]
+
+    def test_an_overlay_leaves_its_base_memo_empty(self):
+        g = load_default_environment()
+        mission = load_default_mission(g)
+        hot = HeatedGraph(g, {})
+        max_success_path(hot, 25, 17)
+        shortest_distance_path(hot, 25, 17)
+        order_tasks(hot, mission, 25)
+        apply_heat(hot, {next(iter(g.edges)): 0.5})
+        rng = np.random.default_rng(3)
+        path = predict_human_path(hot, HumanState(15, 6))
+        for u in (0.0, 1.0):
+            step_human(hot, HumanState(15, 6, u, path), rng)
+        run_episode(EpisodeConfig(hot, mission, HeatParams(), 0.5, 1))
+        assert g._memo == {}
 
 
 class TestRunSweep:
