@@ -86,9 +86,6 @@ class Edge:
     def key(self):
         return (self.a, self.b)
 
-    def other(self, node):
-        return self.b if node == self.a else self.a
-
 
 def _remember(table, key, value):
     """Store value under key in a per-tick memo table and return it; the
@@ -103,7 +100,9 @@ class EnvironmentGraph:
     """Undirected risk-classed graph; treat as immutable once constructed.
 
     Adjacency queries return neighbours in ascending node-id order, so every
-    traversal of the structure is deterministic.
+    traversal of the structure is deterministic.  The constructor checks
+    every edge, naming its index, and stores it with a < b and a float
+    distance.
     """
 
     def __init__(self, node_count, risk_table, edges, labels=None, xy=None):
@@ -112,9 +111,10 @@ class EnvironmentGraph:
         self.labels = dict(labels or {})
         self.xy = dict(xy or {})
         self.edges = {}
-        for e in edges:
+        for i, e in enumerate(edges):
+            e = self._checked_edge(i, e)
             if e.key() in self.edges:
-                raise ValueError(f"duplicate edge ({e.a}, {e.b})")
+                raise ValueError(f"edge {i}: duplicate edge ({e.a}, {e.b})")
             self.edges[e.key()] = e
         self._adj = [[] for _ in range(node_count)]
         for e in self.edges.values():
@@ -127,6 +127,25 @@ class EnvironmentGraph:
         # the one owner of every planning and per-tick cache; each entry
         # is a pure function of the (immutable) graph and its key
         self._memo = {}
+
+    def _checked_edge(self, i, e):
+        a, b, dist, risk = e.a, e.b, e.distance, e.risk
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"edge {i}: endpoints must be integers")
+        if a == b:
+            raise ValueError(f"edge {i}: self-loop at node {a}")
+        if not (0 <= min(a, b) and max(a, b) < self.node_count):
+            raise ValueError(f"edge {i}: endpoint outside "
+                             f"0..{self.node_count - 1}")
+        if not _is_number(dist) or not dist > 0:
+            raise ValueError(f"edge {i}: distance {dist!r} not positive")
+        if not math.isfinite(dist):
+            raise ValueError(f"edge {i}: distance {dist!r} not finite")
+        if not isinstance(risk, str):
+            raise ValueError(f"edge {i}: risk class {risk!r} must be a name")
+        if risk not in self.risk_table:
+            raise ValueError(f"edge {i}: risk class {risk!r} not declared")
+        return Edge(min(a, b), max(a, b), float(dist), risk)
 
     def __getstate__(self):
         # memo entries are derived data, so a pickled graph starts cold
@@ -141,7 +160,10 @@ class EnvironmentGraph:
         return range(self.node_count)
 
     def check_node(self, node):
-        if not isinstance(node, int) or not (0 <= node < self.node_count):
+        if type(node) is not int:
+            raise ValueError(f"node {node!r} must be an int, not "
+                             f"{type(node).__name__}")
+        if not (0 <= node < self.node_count):
             raise ValueError(f"node {node!r} outside 0..{self.node_count - 1}")
         return node
 
@@ -332,24 +354,7 @@ def environment_from_dict(doc):
     for i, row in enumerate(doc["edges"]):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise ValueError(f"edge {i}: expected [a, b, distance, class]")
-        a, b, dist, risk = row
-        if not _is_number(a, int) or not _is_number(b, int):
-            raise ValueError(f"edge {i}: endpoints must be integers")
-        if a == b:
-            raise ValueError(f"edge {i}: self-loop at node {a}")
-        if not (0 <= a < count) or not (0 <= b < count):
-            raise ValueError(f"edge {i}: endpoint outside 0..{count - 1}")
-        if not _is_number(dist) or not dist > 0:
-            raise ValueError(f"edge {i}: distance {dist!r} not positive")
-        if not math.isfinite(dist):
-            raise ValueError(f"edge {i}: distance {dist!r} not finite")
-        if not isinstance(risk, str):
-            raise ValueError(f"edge {i}: risk class {risk!r} must be a name")
-        if risk not in table:
-            raise ValueError(f"edge {i}: risk class {risk!r} not declared")
-        if a > b:
-            a, b = b, a
-        edges.append(Edge(a, b, float(dist), risk))
+        edges.append(Edge(*row))
 
     return EnvironmentGraph(count, table, edges, labels, xy)
 

@@ -44,8 +44,12 @@ class HeatParams:
     path_heat is calibrated so that a two-edge overlap between the human's
     predicted corridor and a High-risk route drops that route's validated
     probability from ~0.98 into the 0.3-0.5 band.  neighbor_heat scales
-    with the human's uncertainty, so edges brushed by an erratic human
-    carry a real extra cost while a fully predictable one spills nothing.
+    with the human's uncertainty and spills onto the edges at the human's
+    position, but an edge keeps the larger heat, so the spill counts only
+    where neighbor_heat * uncertainty exceeds path_heat or the human has
+    no prediction.  With the defaults it never changes a heat: every human
+    an episode or plan --human heats has a prediction starting at its
+    position, whose edges already carry path_heat.
     """
 
     path_heat: float = 0.998

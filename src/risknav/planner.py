@@ -37,9 +37,6 @@ class Path:
     total_distance: float
     success_probability: float
 
-    def __len__(self):
-        return len(self.nodes)
-
 
 class UnreachableNodeError(ValueError):
     """A mission references a node no path can reach."""

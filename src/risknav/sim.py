@@ -14,6 +14,7 @@ independent of worker count and chunking.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -241,31 +242,35 @@ def _sweep_chunk(job):
 
 
 def _run_chunk(base, levels, level_index, lo, hi):
-    succ = fail = total_rd = rd_episodes = max_rd = 0
+    tally = Counter()
     for j in range(lo, hi):
         cfg = replace(base, uncertainty=levels[level_index],
                       seed=derive_seed(base.seed, level_index, j))
         out = run_episode(cfg)
-        if out.success:
-            succ += 1
-        else:
-            fail += 1
-        total_rd += out.redirects
-        if out.redirects > 0:
-            rd_episodes += 1
-        if out.redirects > max_rd:
-            max_rd = out.redirects
-    return level_index, succ, fail, total_rd, rd_episodes, max_rd
+        tally[out.failure_cause, out.redirects] += 1
+    return level_index, tally
+
+
+def _sweep_row(u, tally):
+    """The SweepRow of a level from its Counter of (failure cause,
+    redirects) episodes."""
+    n = tally.total()
+    succ = sum(c for (cause, _), c in tally.items() if cause is None)
+    redirected = sum(c for (_, rd), c in tally.items() if rd > 0)
+    return SweepRow(u, 100.0 * succ / n, succ, n - succ,
+                    sum(rd * c for (_, rd), c in tally.items()),
+                    100.0 * redirected / n, max(rd for _, rd in tally))
 
 
 def run_sweep(base, levels, episodes_per_level, workers=1):
     """Sweep uncertainty levels; returns one SweepRow per level.
 
-    Seeds are fixed by (base.seed, level index, episode index) alone and
-    the per-level aggregates are order-independent sums/maxima, so the
-    report is identical for any worker count.  Raises
-    UnreachableNodeError before the first episode when some possible
-    start cannot reach a task or the end node.
+    Seeds are fixed by (base.seed, level index, episode index) alone.
+    Each chunk of episodes returns a Counter of (failure cause,
+    redirects); a level's chunks add up to one Counter, from which its
+    row is derived, so the report is identical for any worker count.
+    Raises UnreachableNodeError before the first episode when some
+    possible start cannot reach a task or the end node.
     """
     levels = [float(u) for u in levels]
     for u in levels:
@@ -288,35 +293,20 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
     # a fork pool starts every worker at the first submit, so never ask
     # for more processes than there are jobs
     workers = min(workers, len(jobs))
-    agg = {i: [0, 0, 0, 0, 0] for i in range(len(levels))}
-
-    def fold(part):
-        i, succ, fail, total_rd, rd_episodes, max_rd = part
-        a = agg[i]
-        a[0] += succ
-        a[1] += fail
-        a[2] += total_rd
-        a[3] += rd_episodes
-        a[4] = max(a[4], max_rd)
-
     if workers == 1:
-        for i, lo, hi in jobs:
-            fold(_run_chunk(base, levels, i, lo, hi))
+        parts = [_run_chunk(base, levels, *job) for job in jobs]
     else:
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_sweep_worker_init,
                 initargs=(base, levels)) as pool:
-            for part in pool.map(_sweep_chunk, jobs):
-                fold(part)
+            parts = list(pool.map(_sweep_chunk, jobs))
 
-    rows = []
-    for i, u in enumerate(levels):
-        succ, fail, total_rd, rd_episodes, max_rd = agg[i]
-        n = succ + fail
-        rows.append(SweepRow(u, 100.0 * succ / n, succ, fail, total_rd,
-                             100.0 * rd_episodes / n, max_rd))
-    return SweepReport(tuple(rows))
+    tallies = [Counter() for _ in levels]
+    for i, tally in parts:
+        tallies[i] += tally
+    return SweepReport(tuple(_sweep_row(u, tally)
+                             for u, tally in zip(levels, tallies)))
 
 
 CSV_HEADER = ("uncertainty,success_pct,success,fail,"

@@ -70,6 +70,16 @@ class TestPlan:
         nodes = selected.split(":")[1].strip().split(" -> ")
         assert set(nodes).isdisjoint({"15", "11", "8", "4", "6"})
 
+    def test_human_uncertainty_leaves_the_plan_unchanged(self, capsys):
+        # the spill (neighbor_heat * u = 0.6 u) reaches only edges at the
+        # human's position, which its prediction already heats at 0.998
+        outs = {run(capsys, "plan", "25", "17", "--human", f"15,6,{u}")
+                for u in ("0", "0.2", "1")}
+        assert len(outs) == 1
+        code, out, _ = outs.pop()
+        assert code == 0
+        assert out.startswith("human predicted: 15 -> 11 -> 8 -> 4 -> 6\n")
+
     def test_unheated_corridor_goes_straight_through(self, capsys):
         code, out, _ = run(capsys, "plan", "25", "17")
         assert code == 0

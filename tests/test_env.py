@@ -10,8 +10,8 @@ from risknav import (DEFAULT_RISK_TABLE, Edge, EnvironmentGraph, MissionSpec,
                      OutcomeProbs, effective_success, environment_from_dict,
                      environment_to_dict, load_default_environment,
                      load_default_mission, load_environment, load_mission,
-                     mission_from_dict, mission_to_dict, save_environment,
-                     save_mission)
+                     max_success_path, mission_from_dict, mission_to_dict,
+                     path_from_nodes, save_environment, save_mission)
 
 from conftest import random_connected_doc
 
@@ -84,10 +84,46 @@ class TestEnvironmentGraph:
         with pytest.raises(ValueError):
             g.check_node(-1)
 
+    def test_check_node_names_a_type_that_is_not_int(self):
+        g = environment_from_dict(self.doc())
+        for node in (True, np.int64(3), 1.0):
+            with pytest.raises(ValueError, match="must be an int, not "
+                               f"{type(node).__name__}$"):
+                g.check_node(node)
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate edge"):
             EnvironmentGraph(2, {"Low": OutcomeProbs.from_pair(0.999, 0.0009)},
                              [Edge(0, 1, 1.0, "Low"), Edge(0, 1, 2.0, "Low")])
+
+    def test_constructor_orders_reversed_edges(self):
+        table = {"Low": OutcomeProbs.from_pair(0.999, 0.0009)}
+        g = EnvironmentGraph(3, table, [Edge(1, 0, 2, "Low"),
+                                        Edge(2, 1, 1.5, "Low")])
+        assert g.edge(0, 1) == Edge(0, 1, 2.0, "Low")
+        assert list(g.edges) == [(0, 1), (1, 2)]
+        path = max_success_path(g, 0, 2)
+        assert path_from_nodes(g, path.nodes) == path
+
+    @pytest.mark.parametrize("edges, message", [
+        ([Edge(0, 1, 1.0, "Low"), Edge(1, 0, 1.0, "Low")],
+         "edge 1: duplicate edge \\(0, 1\\)"),
+        ([Edge(-1, 0, 1.0, "Low")], "edge 0: endpoint outside 0..2"),
+        ([Edge(0, 5, 1.0, "Low")], "edge 0: endpoint outside 0..2"),
+        ([Edge(0, 1, 1.0, "Low"), Edge(2, 2, 1.0, "Low")],
+         "edge 1: self-loop at node 2"),
+        ([Edge(0, True, 1.0, "Low")], "edge 0: endpoints must be integers"),
+        ([Edge(0, 1, 0.0, "Low")], "edge 0: distance 0.0 not positive"),
+        ([Edge(0, 1, "1", "Low")], "edge 0: distance '1' not positive"),
+        ([Edge(0, 1, math.nan, "Low")], "edge 0: distance nan not positive"),
+        ([Edge(0, 1, math.inf, "Low")], "edge 0: distance inf not finite"),
+        ([Edge(0, 1, 1.0, ["Low"])], "edge 0: risk class .* must be a name"),
+        ([Edge(0, 1, 1.0, "High")], "edge 0: risk class 'High' not declared"),
+    ])
+    def test_constructor_checks_every_edge(self, edges, message):
+        table = {"Low": OutcomeProbs.from_pair(0.999, 0.0009)}
+        with pytest.raises(ValueError, match=message):
+            EnvironmentGraph(3, table, edges)
 
     def test_effective_matches_probability_table(self):
         g = environment_from_dict(self.doc())

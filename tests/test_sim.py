@@ -343,16 +343,19 @@ class TestRunSweep:
         base = EpisodeConfig(default_env, default_mission, HeatParams(),
                              0.0, 9)
         levels = [0.0, 1.0]
-        report = run_sweep(base, levels, 25)
+        # more than one 250-episode chunk, so each row merges two tallies
+        n = 260
+        report = run_sweep(base, levels, n)
         for i, u in enumerate(levels):
             outs = [run_episode(EpisodeConfig(
                 default_env, default_mission, HeatParams(), u,
-                derive_seed(9, i, j))) for j in range(25)]
-            row = report.rows[i]
-            assert row.success_count == sum(o.success for o in outs)
-            assert row.total_redirects == sum(o.redirects for o in outs)
-            assert row.max_redirects_per_episode \
-                == max(o.redirects for o in outs)
+                derive_seed(9, i, j))) for j in range(n)]
+            succ = sum(o.success for o in outs)
+            redirected = sum(o.redirects > 0 for o in outs)
+            assert report.rows[i] == sim.SweepRow(
+                u, 100.0 * succ / n, succ, n - succ,
+                sum(o.redirects for o in outs), 100.0 * redirected / n,
+                max(o.redirects for o in outs))
 
     def test_worker_count_cannot_change_the_report(self, default_env,
                                                    default_mission):
