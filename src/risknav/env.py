@@ -50,12 +50,6 @@ class OutcomeProbs:
     @classmethod
     def from_pair(cls, p_success, p_retry):
         """Build from (p_success, p_retry); p_fail is the implied remainder."""
-        if not (0.0 <= p_retry <= 1.0) or not (0.0 < p_success <= 1.0):
-            raise ValueError(
-                f"invalid probability pair ({p_success!r}, {p_retry!r})")
-        if p_success + p_retry > 1.0 + PROB_SUM_TOL:
-            raise ValueError(
-                f"p_success + p_retry = {p_success + p_retry!r} exceeds 1")
         if p_retry == 1.0:
             # admitted by the sum tolerance when p_success <= 1e-12, but
             # an edge that can be neither crossed nor failed has no
@@ -257,6 +251,9 @@ class MissionSpec:
     hold_limit: int = 10
 
     def __post_init__(self):
+        for name in ("tasks", "safe_locations"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple of node ids")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError(f"threshold {self.threshold} outside (0, 1]")
         if self.hold_limit < 1:

@@ -2,17 +2,20 @@
 
 The robot models the human as walking the shortest-distance path toward a
 goal, deviating to a uniformly random neighbour with probability equal to
-its uncertainty.  Predicted presence is projected onto the graph as edge
-"heat"; heat scales success mass down (blocked attempts become retries,
-never catastrophes).  A follow step is a pure function of the predicted
-nodes, goal and uncertainty, so step_human memoizes it on the base graph.
+its uncertainty; without a goal it is predicted to stay where it is.
+predict_human_path makes every prediction, so step_human alone is the
+human's transition rule.  Predicted presence is projected onto the graph
+as edge "heat"; heat scales success mass down (blocked attempts become
+retries, never catastrophes).  Each step outcome is a pure function of
+the goal, the uncertainty and the predicted nodes (following) or the new
+position (diverging), so step_human memoizes both on the base graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import HeatedGraph, OutcomeProbs, _remember
+from .env import HeatedGraph, OutcomeProbs, _is_number, _remember
 from .planner import Path, path_from_nodes, shortest_distance_path
 
 
@@ -24,8 +27,9 @@ class HumanState:
     predicted_path: Path | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.uncertainty <= 1.0):
-            raise ValueError(f"uncertainty {self.uncertainty} outside [0, 1]")
+        if not (_is_number(self.uncertainty) and 0 <= self.uncertainty <= 1):
+            raise ValueError(f"uncertainty {self.uncertainty!r} outside "
+                             "[0, 1]")
         if self.predicted_path is not None:
             nodes = self.predicted_path.nodes
             if nodes[0] != self.position:
@@ -63,9 +67,10 @@ class HeatParams:
 
 
 def predict_human_path(g, h):
-    """Shortest-distance path from the human's position to its goal."""
+    """Shortest-distance path from the human's position to its goal, or
+    the one-node path at its position (stay put) when it has no goal."""
     if h.goal is None:
-        raise ValueError("human has no goal to predict toward")
+        return Path((g.check_node(h.position),), 0.0, 1.0)
     path = shortest_distance_path(g, h.position, h.goal)
     if path is None:
         raise ValueError(f"human goal {h.goal} unreachable from "
@@ -137,7 +142,7 @@ def step_human(g, h, rng):
     With probability (1 - uncertainty) the human follows its predicted
     path (staying put when there is none or it has arrived); otherwise it
     moves to a uniformly random neighbour, staying put on a node with none,
-    and the path is re-predicted toward the unchanged goal.
+    and predict_human_path re-predicts it toward the unchanged goal.
     """
     diverged = h.uncertainty > 0.0 and rng.random() < h.uncertainty
     if not diverged:
@@ -155,9 +160,10 @@ def step_human(g, h, rng):
     nbrs = g.neighbors(h.position)
     if not nbrs:
         return h
-    h = HumanState(nbrs[int(rng.integers(len(nbrs)))][0], h.goal,
-                   h.uncertainty)
-    if h.goal is None:
-        return h
-    return HumanState(h.position, h.goal, h.uncertainty,
-                      predict_human_path(g, h))
+    memo = g.memo("diverge")
+    key = (nbrs[int(rng.integers(len(nbrs)))][0], h.goal, h.uncertainty)
+    nxt = memo.get(key)
+    if nxt is None:
+        h = HumanState(*key)
+        nxt = _remember(memo, key, HumanState(*key, predict_human_path(g, h)))
+    return nxt

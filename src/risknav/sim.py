@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec, _is_number,
-                  _read_json, _remember, load_default_environment,
-                  load_default_mission, load_environment, load_mission)
+                  _read_json, _reject_unknown, _remember,
+                  load_default_environment, load_default_mission,
+                  load_environment, load_mission)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
-                    step_human)
-from .planner import (Path, check_reachable, max_success_path, order_tasks,
+                    predict_human_path, step_human)
+from .planner import (check_reachable, max_success_path, order_tasks,
                       shortest_distance_path)
 
 HOLD_TIMEOUT = "hold_timeout"
@@ -68,9 +69,9 @@ class EpisodeConfig:
                              "EnvironmentGraph or a HeatedGraph")
         if not isinstance(self.mission, MissionSpec):
             raise ValueError(f"mission {self.mission!r} must be a MissionSpec")
-        if not (0.0 <= self.uncertainty <= 1.0):
+        if not (_is_number(self.uncertainty) and 0 <= self.uncertainty <= 1):
             raise ValueError(
-                f"uncertainty {self.uncertainty} outside [0, 1]")
+                f"uncertainty {self.uncertainty!r} outside [0, 1]")
         if not isinstance(self.heat, HeatParams):
             raise ValueError(f"heat {self.heat!r} must be a HeatParams")
         if not _is_number(self.seed, int) or self.seed < 0:
@@ -111,7 +112,8 @@ def run_episode(cfg):
     step (the max-success path on the heated map, the heated outcome row
     of its first edge and that row's effective success) per robot,
     objective and heat map.  The robot moves only while that effective
-    success is at least the mission threshold.
+    success is at least the mission threshold.  The human has no goal
+    (so it is predicted to stay put) until a redirect; step_human moves it.
     """
     g = cfg.environment
     mission = cfg.mission
@@ -121,8 +123,9 @@ def run_episode(cfg):
         robot = g.check_node(mission.start)
     else:
         robot = int(rng.integers(g.node_count))
-    human = HumanState(position=int(rng.integers(g.node_count)),
-                       uncertainty=cfg.uncertainty)
+    human = HumanState(int(rng.integers(g.node_count)), None, cfg.uncertainty)
+    human = HumanState(human.position, None, cfg.uncertainty,
+                       predict_human_path(g, human))
 
     route = order_tasks(g, mission, robot).ordered_tasks
     heat_memo = g.memo("heat")
@@ -145,10 +148,6 @@ def run_episode(cfg):
         steps += 1
 
         human = step_human(g, human, rng)
-        if human.predicted_path is None:
-            # an idle human is predicted to stay put, so it heats its edges
-            human = HumanState(human.position, human.goal, human.uncertainty,
-                               Path((human.position,), 0.0, 1.0))
         if outstanding is not None:
             settled = settled + 1 if human.position == outstanding else 0
         hkey = (human.position, human.predicted_path.nodes,
@@ -272,16 +271,17 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
     Raises UnreachableNodeError before the first episode when some
     possible start cannot reach a task or the end node.
     """
-    levels = [float(u) for u in levels]
+    levels = list(levels)
     for u in levels:
-        if not (0.0 <= u <= 1.0):
-            raise ValueError(f"uncertainty level {u} outside [0, 1]")
+        if not (_is_number(u) and 0.0 <= u <= 1.0):
+            raise ValueError(f"uncertainty level {u!r} outside [0, 1]")
+    levels = [float(u) for u in levels]
     if not levels:
         raise ValueError("no uncertainty levels given")
-    if episodes_per_level < 1:
-        raise ValueError("episodes_per_level must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if not _is_number(episodes_per_level, int) or episodes_per_level < 1:
+        raise ValueError("episodes_per_level must be an integer of at least 1")
+    if not _is_number(workers, int) or workers < 1:
+        raise ValueError("workers must be an integer of at least 1")
     check_reachable(base.environment, base.mission)
 
     chunk = 250
@@ -370,9 +370,7 @@ def load_sweep_config(source):
     working directory.
     """
     doc = source if isinstance(source, dict) else read_sweep_config(source)
-    unknown = set(doc) - _SWEEP_FIELDS
-    if unknown:
-        raise ValueError(f"sweep config: unknown field(s) {sorted(unknown)}")
+    _reject_unknown(doc, _SWEEP_FIELDS, "sweep config")
     for name in ("environment", "mission"):
         if not isinstance(doc.get(name, ""), str):
             raise ValueError(f"sweep config: {name!r} must be a file name")
@@ -389,10 +387,7 @@ def load_sweep_config(source):
     heat_doc = doc.get("heat", {})
     if not isinstance(heat_doc, dict):
         raise ValueError("sweep config: 'heat' must be an object")
-    unknown = set(heat_doc) - _HEAT_FIELDS
-    if unknown:
-        raise ValueError(f"sweep config heat: unknown field(s) "
-                         f"{sorted(unknown)}")
+    _reject_unknown(heat_doc, _HEAT_FIELDS, "sweep config heat")
     for name, v in heat_doc.items():
         if not _is_number(v):
             raise ValueError(f"sweep config heat: {name!r} must be a number")

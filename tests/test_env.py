@@ -293,6 +293,13 @@ class TestMissionSpec:
         with pytest.raises(ValueError, match="hold_limit"):
             MissionSpec(None, (1,), 2, (), hold_limit=0)
 
+    def test_node_lists_must_be_tuples(self):
+        # planning and episodes hash both fields
+        with pytest.raises(ValueError, match="tasks must be a tuple"):
+            MissionSpec(25, [3, 6], 22, (13,))
+        with pytest.raises(ValueError, match="safe_locations must be a"):
+            MissionSpec(25, (3, 6), 22, [13])
+
     def test_node_ids_checked_against_environment(self):
         env = environment_from_dict(self_doc())
         doc = self.doc()

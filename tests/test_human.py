@@ -7,7 +7,7 @@ from risknav import (HeatParams, HumanState, OutcomeProbs, apply_heat,
                      build_heat_map, environment_from_dict,
                      predict_human_path, step_human)
 from risknav.human import heated_probs
-from risknav.planner import path_from_nodes, shortest_distance_path
+from risknav.planner import Path, path_from_nodes, shortest_distance_path
 
 from conftest import random_environment
 
@@ -33,8 +33,10 @@ class TestHumanState:
             HumanState(1, 3, 0.0, path)
 
     def test_uncertainty_range_enforced(self):
-        with pytest.raises(ValueError, match="uncertainty"):
-            HumanState(0, uncertainty=1.5)
+        # a bool is not an uncertainty, though Python counts it as an int
+        for u in (1.5, True, "0.5", None):
+            with pytest.raises(ValueError, match="uncertainty"):
+                HumanState(0, uncertainty=u)
 
     def test_goalless_prediction_allowed(self):
         g = environment_from_dict(line_doc())
@@ -63,9 +65,13 @@ class TestPredictHumanPath:
         h = HumanState(15, goal=6)
         assert predict_human_path(default_env, h).nodes == (15, 11, 8, 4, 6)
 
-    def test_goalless_human_rejected(self, default_env):
-        with pytest.raises(ValueError, match="no goal"):
-            predict_human_path(default_env, HumanState(15))
+    def test_goalless_human_is_predicted_to_stay_put(self, default_env):
+        for p in default_env.nodes:
+            stay = predict_human_path(default_env, HumanState(p, None, 0.5))
+            assert stay == Path((p,), 0.0, 1.0)
+            assert stay == shortest_distance_path(default_env, p, p)
+        with pytest.raises(ValueError, match="outside"):
+            predict_human_path(default_env, HumanState(30))
 
     def test_unreachable_goal_rejected(self):
         g = environment_from_dict(
@@ -204,6 +210,17 @@ class TestStepHuman:
         g = environment_from_dict(line_doc())
         h = HumanState(2)
         assert step_human(g, h, np.random.default_rng(3)) == h
+
+    def test_diverging_goalless_human_is_predicted_to_stay_put(self):
+        g = environment_from_dict(line_doc())
+        rng = np.random.default_rng(3)
+        h = HumanState(2, None, 1.0, Path((2,), 0.0, 1.0))
+        for _ in range(20):
+            nxt = step_human(g, h, rng)
+            assert g.edge(h.position, nxt.position) is not None
+            assert nxt == HumanState(nxt.position, None, 1.0,
+                                     Path((nxt.position,), 0.0, 1.0))
+            h = nxt
 
     def test_erratic_human_on_isolated_node_stays_put(self):
         g = environment_from_dict(

@@ -61,9 +61,10 @@ class TestDeriveSeed:
 
 class TestEpisodeConfig:
     def test_uncertainty_range_enforced(self, default_env, default_mission):
-        with pytest.raises(ValueError, match="uncertainty"):
-            EpisodeConfig(default_env, default_mission, HeatParams(),
-                          1.5, 0)
+        for u in (1.5, True, "0.5"):
+            with pytest.raises(ValueError, match="uncertainty"):
+                EpisodeConfig(default_env, default_mission, HeatParams(),
+                              u, 0)
 
     def test_seed_must_be_a_nonnegative_int(self, default_env,
                                             default_mission):
@@ -210,10 +211,11 @@ class TestGraphMemo:
         # episodes
         limit = 8
         monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
-        misses = {"step": [], "heat": [], "follow": []}
+        misses = {"step": [], "heat": [], "follow": [], "diverge": []}
         for name, mod, attr in (("step", sim, "max_success_path"),
                                 ("heat", sim, "build_heat_map"),
-                                ("follow", human, "path_from_nodes")):
+                                ("follow", human, "path_from_nodes"),
+                                ("diverge", human, "predict_human_path")):
             def counted(*args, _real=getattr(mod, attr), _log=misses[name],
                         **kwargs):
                 _log.append(None)
@@ -235,7 +237,7 @@ class TestGraphMemo:
         run_episode(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                   0.5, 1))
         clone = pickle.loads(pickle.dumps(g))
-        for name in ("plan", "step", "heat", "follow", "heated"):
+        for name in ("plan", "step", "heat", "follow", "diverge", "heated"):
             assert g._memo[name]
         assert clone._memo == {}
         assert clone == g
@@ -290,6 +292,37 @@ class TestGraphMemo:
                 h = HumanState(pos, None, u, Path(nodes, 0.0, 1.0))
                 assert heat_tuple == tuple(sorted(build_heat_map(
                     used, h, HeatParams(*params)).items()))
+
+    def test_every_stepped_human_has_a_prediction_at_its_position(
+            self, monkeypatch):
+        # predict_human_path alone predicts: the episode hands step_human
+        # predicted humans and uses what it returns without patching it
+        seen = []
+        real = sim.step_human
+
+        def checked(g, h, rng):
+            nxt = real(g, h, rng)
+            seen.extend((h, nxt))
+            return nxt
+
+        monkeypatch.setattr(sim, "step_human", checked)
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            doc = random_connected_doc(rng, max_nodes=8)
+            g = environment_from_dict(doc)
+            nodes = [int(v) for v in rng.permutation(doc["nodes"])]
+            k = int(rng.integers(0, min(2, len(nodes) - 1) + 1))
+            mission = mission_from_dict({
+                "start": "random", "tasks": nodes[:k], "end": nodes[k],
+                "safe_locations": nodes[k + 1:k + 3]}, g)
+            for seed in range(5):
+                u = float(rng.choice([0.0, 0.5, 1.0]))
+                run_episode(EpisodeConfig(g, mission, HeatParams(), u,
+                                          seed))
+        assert seen
+        for h in seen:
+            assert h.predicted_path is not None
+            assert h.predicted_path.nodes[0] == h.position
 
     def test_an_empty_overlay_runs_the_episodes_of_its_base(self,
                                                              monkeypatch):
@@ -415,6 +448,21 @@ class TestRunSweep:
             run_sweep(base, [0.0], 0)
         with pytest.raises(ValueError, match="workers"):
             run_sweep(base, [0.0], 5, workers=0)
+
+    def test_wrongly_typed_numbers_rejected(self, default_env,
+                                            default_mission):
+        # a bool would run as 1 and a float count fails inside range()
+        base = EpisodeConfig(default_env, default_mission, HeatParams(),
+                             0.0, 0)
+        for args, field in [(([0.0], 2.5), "episodes_per_level"),
+                            (([0.0], True), "episodes_per_level"),
+                            (([0.0], 5, True), "workers"),
+                            (([0.0], 5, 2.0), "workers"),
+                            (([True], 5), "level"),
+                            ((["0.5"], 5), "level"),
+                            (([None], 5), "level")]:
+            with pytest.raises(ValueError, match=field):
+                run_sweep(base, *args)
 
 
 class TestSummarize:
