@@ -10,6 +10,7 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -245,8 +246,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first call, not at import; parse_args keeps no state
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UnreachableNodeError, ArithmeticError, RuntimeError) as exc:

@@ -254,8 +254,11 @@ class MissionSpec:
         for name in ("tasks", "safe_locations"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"{name} must be a tuple of node ids")
-        if not (0.0 < self.threshold <= 1.0):
-            raise ValueError(f"threshold {self.threshold} outside (0, 1]")
+        if not (_is_number(self.threshold) and 0.0 < self.threshold <= 1.0):
+            raise ValueError(f"threshold {self.threshold!r} outside (0, 1]")
+        if not _is_number(self.hold_limit, int):
+            raise ValueError(f"hold_limit {self.hold_limit!r} must be an "
+                             "integer")
         if self.hold_limit < 1:
             raise ValueError(f"hold_limit {self.hold_limit} below 1")
         if self.end in self.tasks:

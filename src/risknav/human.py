@@ -62,8 +62,8 @@ class HeatParams:
     def __post_init__(self):
         for name in ("path_heat", "neighbor_heat"):
             v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1)")
+            if not (_is_number(v) and 0.0 <= v < 1.0):
+                raise ValueError(f"{name}={v!r} outside [0, 1)")
 
 
 def predict_human_path(g, h):
@@ -143,6 +143,8 @@ def step_human(g, h, rng):
     path (staying put when there is none or it has arrived); otherwise it
     moves to a uniformly random neighbour, staying put on a node with none,
     and predict_human_path re-predicts it toward the unchanged goal.
+    rng is anything with random() and integers(n), such as a numpy
+    Generator.
     """
     diverged = h.uncertainty > 0.0 and rng.random() < h.uncertainty
     if not diverged:
@@ -161,7 +163,7 @@ def step_human(g, h, rng):
     if not nbrs:
         return h
     memo = g.memo("diverge")
-    key = (nbrs[int(rng.integers(len(nbrs)))][0], h.goal, h.uncertainty)
+    key = (nbrs[rng.integers(len(nbrs))][0], h.goal, h.uncertainty)
     nxt = memo.get(key)
     if nxt is None:
         h = HumanState(*key)

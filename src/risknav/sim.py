@@ -38,6 +38,7 @@ REDIRECT_PATIENCE = 2
 _TICK_GUARD = 100_000  # sanity bound; a legitimate episode never gets close
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def _splitmix64(z):
@@ -53,6 +54,51 @@ def derive_seed(base_seed, level_index, episode_index):
     z = _splitmix64(z ^ ((level_index * 0x9E3779B97F4A7C15) & _MASK64))
     z = _splitmix64(z ^ ((episode_index * 0xBF58476D1CE4E5B9) & _MASK64))
     return z
+
+
+class _Draws:
+    """numpy's Generator(PCG64(seed)) stream, read in blocks of raw words.
+
+    random() and integers(n) return exactly what np.random.default_rng(seed)
+    would, for 1 <= n <= 2**32: random() is the top 53 bits of a word, and
+    integers(n) is Lemire's bounded method on 32-bit draws.  A 32-bit draw
+    takes the low half of a word and keeps the high half for the next one;
+    random() does not touch the kept half, as in numpy's PCG64.
+    """
+
+    __slots__ = ("_bits", "_words", "_half")
+
+    def __init__(self, seed):
+        self._bits = np.random.PCG64(seed)
+        self._words = []  # the current block, reversed
+        self._half = None
+
+    def _word(self):
+        if not self._words:
+            self._words = self._bits.random_raw(64)[::-1].tolist()
+        return self._words.pop()
+
+    def _uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def random(self):
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, n):
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & _MASK32 < n:
+            threshold = (_MASK32 + 1 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return m >> 32
 
 
 @dataclass(frozen=True)
@@ -114,16 +160,19 @@ def run_episode(cfg):
     objective and heat map.  The robot moves only while that effective
     success is at least the mission threshold.  The human has no goal
     (so it is predicted to stay put) until a redirect; step_human moves it.
+    Draws come from _Draws(cfg.seed), which gives what
+    np.random.default_rng(cfg.seed) would; the episode and step_human
+    call only its random() and integers(n).
     """
     g = cfg.environment
     mission = cfg.mission
-    rng = np.random.default_rng(cfg.seed)
+    rng = _Draws(cfg.seed)
 
     if mission.start is not None:
         robot = g.check_node(mission.start)
     else:
-        robot = int(rng.integers(g.node_count))
-    human = HumanState(int(rng.integers(g.node_count)), None, cfg.uncertainty)
+        robot = rng.integers(g.node_count)
+    human = HumanState(rng.integers(g.node_count), None, cfg.uncertainty)
     human = HumanState(human.position, None, cfg.uncertainty,
                        predict_human_path(g, human))
 

@@ -368,3 +368,32 @@ class TestParserErrors:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--levels", "0,abc"])
         assert exc.value.code == 1
+
+
+class TestParserReuse:
+    def test_the_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "validate", "25", "10")[0] == 0
+        assert built == [1]
+
+    def test_successive_calls_share_no_state(self, capsys, monkeypatch):
+        seeds = []
+        real = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda base, *rest: seeds.append(base.seed)
+                            or real(base, *rest))
+        for argv in (["--seed", "3"], [], ["--seed", "5"], []):
+            code, _, _ = run(capsys, "sweep", "--levels", "0",
+                             "--episodes", "2", *argv)
+            assert code == 0
+        assert seeds == [3, 0, 5, 0]
+        run(capsys, "simulate", "--seed", "4", "--uncertainty", "0.5")
+        _, fresh, _ = run(capsys, "simulate")
+        _, explicit, _ = run(capsys, "simulate", "--seed", "0",
+                             "--uncertainty", "0")
+        assert fresh == explicit

@@ -293,6 +293,13 @@ class TestMissionSpec:
         with pytest.raises(ValueError, match="hold_limit"):
             MissionSpec(None, (1,), 2, (), hold_limit=0)
 
+    def test_wrongly_typed_numbers_rejected(self):
+        for name, value in [("threshold", True), ("threshold", "0.5"),
+                            ("threshold", None), ("hold_limit", True),
+                            ("hold_limit", 2.5), ("hold_limit", "3")]:
+            with pytest.raises(ValueError, match=name):
+                MissionSpec(25, (3,), 22, (13,), **{name: value})
+
     def test_node_lists_must_be_tuples(self):
         # planning and episodes hash both fields
         with pytest.raises(ValueError, match="tasks must be a tuple"):

@@ -59,6 +59,12 @@ class TestHeatParams:
         with pytest.raises(ValueError, match="neighbor_heat"):
             HeatParams(neighbor_heat=-0.1)
 
+    def test_wrongly_typed_numbers_rejected(self):
+        for name in ("path_heat", "neighbor_heat"):
+            for value in (True, "0.5", None):
+                with pytest.raises(ValueError, match=name):
+                    HeatParams(**{name: value})
+
 
 class TestPredictHumanPath:
     def test_follows_shortest_distance(self, default_env):

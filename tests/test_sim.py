@@ -59,6 +59,51 @@ class TestDeriveSeed:
         assert len(seen) == 11 * 200
 
 
+class TestDraws:
+    """sim._Draws against np.random.Generator on one PCG64 stream."""
+
+    def test_mixed_calls_match_the_numpy_generator(self):
+        # n = 1 draws nothing, 5 is the bundled map's largest degree and
+        # 30 its node count; 200 calls read past one 64-word block
+        sizes = (1, 2, 3, 4, 5, 6, 30)
+        plan = np.random.default_rng(99)
+        for seed in range(3000):
+            draws = sim._Draws(seed)
+            ref = np.random.default_rng(seed)
+            picks = plan.integers(len(sizes) + 1, size=200).tolist()
+            for k in picks:
+                if k == len(sizes):
+                    assert draws.random() == ref.random()
+                else:
+                    n = sizes[k]
+                    assert draws.integers(n) == ref.integers(n)
+            assert draws.random() == ref.random()
+            one_block = np.random.PCG64(seed)
+            one_block.random_raw(64)
+            assert draws._bits.state != one_block.state
+
+    def test_rejection_heavy_bounds_match_the_numpy_generator(self):
+        # up to half of all 32-bit draws are rejected below 2**32, and
+        # 2**32 takes every draw as it is
+        sizes = (2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32)
+        plan = np.random.default_rng(98)
+        for seed in range(200):
+            draws = sim._Draws(seed)
+            ref = np.random.default_rng(seed)
+            for k in plan.integers(len(sizes) + 1, size=300).tolist():
+                if k == len(sizes):
+                    assert draws.random() == ref.random()
+                else:
+                    n = sizes[k]
+                    assert draws.integers(n) == ref.integers(n)
+
+    def test_draws_return_python_numbers(self):
+        draws = sim._Draws(7)
+        assert type(draws.random()) is float
+        assert type(draws.integers(30)) is int
+        assert draws.integers(1) == 0
+
+
 class TestEpisodeConfig:
     def test_uncertainty_range_enforced(self, default_env, default_mission):
         for u in (1.5, True, "0.5"):
@@ -327,11 +372,17 @@ class TestGraphMemo:
     def test_an_empty_overlay_runs_the_episodes_of_its_base(self,
                                                              monkeypatch):
         # an overlay without heat has its base's probabilities, so each
-        # episode on it must end alike after the same generator draws
+        # episode on it must end alike after the same draws
         made = []
-        real = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: made.append(real(seed)) or made[-1])
+
+        class Recorded(sim._Draws):
+            __slots__ = ()
+
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(sim, "_Draws", Recorded)
         g = load_default_environment()
         mission = load_default_mission(g)
         for u in (0.0, 0.4, 1.0):
@@ -340,7 +391,10 @@ class TestGraphMemo:
                 for graph in (g, apply_heat(g, {})):
                     out = run_episode(EpisodeConfig(graph, mission,
                                                     HeatParams(), u, seed))
-                    runs.append((out, made[-1].bit_generator.state))
+                    # how far the episode read: the bit generator's state
+                    # (blocks drawn), the words left and the kept half
+                    d = made[-1]
+                    runs.append((out, d._bits.state, len(d._words), d._half))
                 assert runs[0] == runs[1]
 
     def test_an_overlay_leaves_its_base_memo_empty(self):
