@@ -112,12 +112,13 @@ def cmd_plan(args):
     if picked is None:
         print(f"no path from {start} to {goal}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    # the distance path is planned and validated for the comparison line only
+    # the distance path is planned for the comparison line only; like the
+    # probability path, it carries its chain's closed form
     dist_path = shortest_distance_path(query, start, goal)
-    r_dist = evaluate_chain(build_chain(query, dist_path.nodes))
 
     print(f"distance path:    {_fmt_nodes(dist_path.nodes)}  "
-          f"(distance {dist_path.total_distance:.2f}, r_dist {r_dist:.6f})")
+          f"(distance {dist_path.total_distance:.2f}, "
+          f"r_dist {dist_path.success_probability:.6f})")
     print(f"probability path: {_fmt_nodes(picked.nodes)}  "
           f"(distance {picked.total_distance:.2f}, r_prob {r_prob:.6f})")
     print(f"selected:         {_fmt_nodes(picked.nodes)}")
@@ -256,10 +257,9 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnreachableNodeError, ArithmeticError, RuntimeError) as exc:
+    except (UnreachableNodeError, RuntimeError) as exc:
         # a well-formed input the model cannot solve: a possible start
-        # cannot reach a waypoint, the chain check failed or an episode
-        # ran past the tick guard
+        # cannot reach a waypoint or an episode ran past the tick guard
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -131,9 +132,11 @@ class EnvironmentGraph:
         if not (0 <= min(a, b) and max(a, b) < self.node_count):
             raise ValueError(f"edge {i}: endpoint outside "
                              f"0..{self.node_count - 1}")
-        if not _is_number(dist) or not dist > 0:
+        # an int beyond the float range is refused as not finite, as a
+        # JSON 1e400 (which loads as inf) is
+        if not (_is_number(dist) or _is_number(dist, int)) or not dist > 0:
             raise ValueError(f"edge {i}: distance {dist!r} not positive")
-        if not math.isfinite(dist):
+        if not (_is_number(dist) and math.isfinite(dist)):
             raise ValueError(f"edge {i}: distance {dist!r} not finite")
         if not isinstance(risk, str):
             raise ValueError(f"edge {i}: risk class {risk!r} must be a name")
@@ -277,8 +280,11 @@ _MISSION_FIELDS = {"start", "tasks", "end", "safe_locations",
 
 
 def _is_number(v, kinds=(int, float)):
-    """isinstance for a JSON value; true and false load as bools, not ints."""
-    return isinstance(v, kinds) and not isinstance(v, bool)
+    """isinstance for a JSON value; true and false load as bools, not ints,
+    and where a float is accepted an int beyond the float range is not."""
+    return (isinstance(v, kinds) and not isinstance(v, bool)
+            and not (type(v) is int and isinstance(0.0, kinds)
+                     and abs(v) > sys.float_info.max))
 
 
 def _reject_unknown(doc, allowed, what):

@@ -2,20 +2,17 @@
 
 A planned path, executed under a retry-until-success-or-failure policy,
 induces a chain with one transient state per path position plus two
-absorbing states (done / dead).  The probability of reaching done is both
-computed in closed form and re-derived by back-substitution through the
-linear absorption system; the two must agree to near machine precision on
-every call.
+absorbing states (done / dead).  The probability of reaching done has a
+closed form, the product of each edge's effective success, which is the
+same left-to-right product the planner accumulates along a path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import effective_success
+from .env import OutcomeProbs, effective_success
 from .planner import max_success_path, path_from_nodes
-
-AGREEMENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -28,6 +25,11 @@ class FixedPolicyChain:
 
     path: tuple
     probs: tuple
+
+    def __post_init__(self):
+        if not all(isinstance(p, OutcomeProbs) for p in self.probs):
+            raise ValueError(f"chain of path {self.path}: every row must "
+                             "be an OutcomeProbs")
 
     @property
     def done_index(self):
@@ -49,36 +51,17 @@ def build_chain(g, nodes):
 def evaluate_chain(chain):
     r"""Probability that the chain is absorbed in done.
 
-    Closed form: the retry self-loop at state i resolves geometrically, so
+    The retry self-loop at state i resolves geometrically, so
 
         P(done) = prod_i  p_success_i / (p_success_i + p_fail_i)
 
-    The same value is recomputed by solving the absorption system
-    (I - Q) b = r, where Q is the transient-to-transient block and r the
-    one-step absorption column into done.  I - Q is upper bidiagonal, so
-    back-substitution from the last edge, b_i = p_success_i * b_(i+1) /
-    (1 - p_retry_i), is the whole solve, in the same operations a dense LU
-    solve performs.  A disagreement beyond 1e-12 means the chain is
-    corrupt, and raises ArithmeticError.
+    accumulated left to right from 1.0, bit for bit the success_probability
+    the planner gives the same path.  p_retry is never read: each row's sum
+    was checked when its OutcomeProbs was built.
     """
     closed = 1.0
     for p in chain.probs:
         closed = closed * effective_success(p)
-
-    linear = 1.0
-    try:
-        for p in reversed(chain.probs):
-            linear = p.p_success * linear / (1.0 - p.p_retry)
-    except ZeroDivisionError:
-        # p_retry == 1.0, which the risk-table parser admits within its
-        # sum tolerance: an edge the robot can neither cross nor fail
-        raise ValueError(
-            f"absorption system is singular for path {chain.path}") from None
-
-    if abs(closed - linear) > AGREEMENT_TOL:
-        raise ArithmeticError(
-            f"closed form {closed!r} and linear solve {linear!r} disagree "
-            f"for path {chain.path}")
     return closed
 
 
@@ -125,16 +108,17 @@ def export_prism(chain, path_label):
 
 
 def plan_validated_path(g, start, final, heated=None):
-    """Plan the maximum-success path and validate its chain.
+    """Plan the maximum-success path and return its validated probability.
 
-    Planning and validation run on the heat overlay when one is given,
-    otherwise on g.  Returns (path, validated_probability), or (None, None)
-    when final is unreachable.  The planner maximises the same left-to-right
-    product that evaluate_chain returns, so no other candidate, the
+    Planning runs on the heat overlay when one is given, otherwise on g.
+    Returns (path, validated_probability), or (None, None) when final is
+    unreachable.  The planner accumulates the same left-to-right product
+    that evaluate_chain returns, so the path's success_probability is its
+    chain's value and no chain is rebuilt; no other candidate, the
     shortest-distance path included, can validate higher.
     """
-    query = heated if heated is not None else g
-    path = max_success_path(query, start, final)
+    path = max_success_path(heated if heated is not None else g, start,
+                            final)
     if path is None:
         return None, None
-    return path, evaluate_chain(build_chain(query, path.nodes))
+    return path, path.success_probability

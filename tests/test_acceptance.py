@@ -112,7 +112,7 @@ def test_2_chain_closed_form_and_monte_carlo():
         nodes = cands[int(rng.integers(len(cands)))]
         chain = build_chain(g, nodes)
 
-        solved = evaluate_chain(chain)  # cross-checks its linear solve
+        solved = evaluate_chain(chain)  # the closed form, recomputed here
         product = 1.0
         for p in chain.probs:
             product = product * effective_success(p)

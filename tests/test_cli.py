@@ -128,17 +128,25 @@ class TestValidate:
         assert code == 2
         assert "no edge between 0 and 7" in err
 
-    def test_chain_disagreement_exits_two(self, capsys, tmp_path):
-        # well-formed, but p_fail = 1e-12 puts the closed form at 1.0 and
-        # the linear solve just below it, beyond the agreement tolerance
+    def test_near_pure_retry_row_is_solved(self, capsys, tmp_path):
+        # well-formed, and from_pair leaves no failure mass, so the path
+        # succeeds with probability exactly 1 although 1 - p_retry is not
+        # exactly p_success
         env = write_env(tmp_path, {"risk_table": {"Low": [1e-06, 0.999999]},
                                    "nodes": 2,
                                    "edges": [[0, 1, 1.0, "Low"]]})
         code, out, err = run(capsys, "validate", "0", "1", "--env", env)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: closed form 1.0 and linear solve")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert out == "path:      0 -> 1\nvalidated: 1.0\n"
+        code, out, _ = run(capsys, "plan", "0", "1", "--env", env)
+        assert code == 0
+        assert "r_prob 1.000000" in out
+        prefix = tmp_path / "chain"
+        code, out, _ = run(capsys, "export-prism", "0", "1", "--env", env,
+                           "--out", str(prefix))
+        assert (code, out) == (0, "1.0\n")
+        assert prefix.with_suffix(".nm").exists()
+        assert prefix.with_suffix(".props").exists()
 
 
 class TestExportPrism:
@@ -314,16 +322,29 @@ class TestSweep:
         # JSON that parses but has the wrong shape, run as a real process
         src = pathlib.Path(risknav.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
+        # an integer too large for a float, where a float is expected
+        huge = 10 ** 400
         cases = [
-            ("--env", {"nodes": 2, "edges": 5}),
-            ("--env", {"nodes": 2, "edges": [[0, 1, 1.0, ["Low"]]]}),
-            ("--env", {"nodes": 2, "risk_table": [1], "edges": []}),
-            ("--config", {"levels": 0.5}),
-            ("--config", {"levels": [None]}),
-            ("--config", {"heat": {"path_heat": None}}),
-            ("--config", {"environment": 5}),
+            ("--env", {"nodes": 2, "edges": 5}, "'edges'"),
+            ("--env", {"nodes": 2, "edges": [[0, 1, 1.0, ["Low"]]]},
+             "risk class"),
+            ("--env", {"nodes": 2, "risk_table": [1], "edges": []},
+             "'risk_table'"),
+            ("--config", {"levels": 0.5}, "'levels'"),
+            ("--config", {"levels": [None]}, "'levels'"),
+            ("--config", {"heat": {"path_heat": None}}, "'path_heat'"),
+            ("--config", {"environment": 5}, "'environment'"),
+            ("--config", {"levels": [0.5, huge]}, "'levels'"),
+            ("--config", {"heat": {"path_heat": huge}}, "'path_heat'"),
+            ("--env", {"nodes": 2, "edges": [[0, 1, huge, "Low"]]},
+             f"distance {huge} not finite"),
+            ("--env", {"nodes": 2, "risk_table": {"Low": [huge, 0.0]},
+                       "edges": []}, "risk class 'Low'"),
+            ("--mission", {"start": 0, "tasks": [1], "end": 2,
+                           "safe_locations": [], "threshold": huge},
+             "threshold"),
         ]
-        for i, (flag, doc) in enumerate(cases):
+        for i, (flag, doc, field) in enumerate(cases):
             target = tmp_path / f"case{i}.json"
             target.write_text(json.dumps(doc))
             proc = subprocess.run(
@@ -334,6 +355,7 @@ class TestSweep:
             assert "Traceback" not in proc.stderr, doc
             assert proc.stderr.startswith("error: "), doc
             assert proc.stderr.count("\n") == 1, doc
+            assert field in proc.stderr, doc
 
     def test_bad_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"

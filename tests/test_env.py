@@ -119,6 +119,9 @@ class TestEnvironmentGraph:
         ([Edge(0, 1, math.inf, "Low")], "edge 0: distance inf not finite"),
         ([Edge(0, 1, 1.0, ["Low"])], "edge 0: risk class .* must be a name"),
         ([Edge(0, 1, 1.0, "High")], "edge 0: risk class 'High' not declared"),
+        ([Edge(0, 1, 10 ** 400, "Low")], "edge 0: distance 1(0)+ not finite"),
+        ([Edge(0, 1, -10 ** 400, "Low")],
+         "edge 0: distance -1(0)+ not positive"),
     ])
     def test_constructor_checks_every_edge(self, edges, message):
         table = {"Low": OutcomeProbs.from_pair(0.999, 0.0009)}
