@@ -110,8 +110,7 @@ def cmd_plan(args):
 
     picked, r_prob = plan_validated_path(query, start, goal)
     if picked is None:
-        print(f"no path from {start} to {goal}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
+        raise UnreachableNodeError(f"no path from {start} to {goal}")
     # the distance path is planned for the comparison line only; like the
     # probability path, it carries its chain's closed form
     dist_path = shortest_distance_path(query, start, goal)
@@ -125,22 +124,8 @@ def cmd_plan(args):
     return EXIT_OK
 
 
-def _checked_chain(g, nodes):
-    """Chain for a node sequence, or None when a hop has no edge."""
-    for n in nodes:
-        g.check_node(n)
-    try:
-        return build_chain(g, nodes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_validate(args):
-    g = _load_env(args.env)
-    chain = _checked_chain(g, args.nodes)
-    if chain is None:
-        return EXIT_NO_SOLUTION
+    chain = build_chain(_load_env(args.env), args.nodes)
     r = evaluate_chain(chain)
     print(f"path:      {_fmt_nodes(chain.path)}")
     print(f"validated: {r!r}")
@@ -148,10 +133,7 @@ def cmd_validate(args):
 
 
 def cmd_export_prism(args):
-    g = _load_env(args.env)
-    chain = _checked_chain(g, args.nodes)
-    if chain is None:
-        return EXIT_NO_SOLUTION
+    chain = build_chain(_load_env(args.env), args.nodes)
     label = "path " + "-".join(str(n) for n in args.nodes)
     model, props = export_prism(chain, label)
     _write_atomic(args.out + ".nm", model)
@@ -258,8 +240,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (UnreachableNodeError, RuntimeError) as exc:
-        # a well-formed input the model cannot solve: a possible start
-        # cannot reach a waypoint or an episode ran past the tick guard
+        # the only exit 2: no path joins the endpoints, a node sequence
+        # misses a hop, a possible start cannot reach a waypoint, or an
+        # episode ran past the tick guard
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (ValueError, OSError) as exc:

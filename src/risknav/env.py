@@ -64,10 +64,9 @@ def effective_success(probs):
     """Probability of eventually crossing an edge under unlimited retries.
 
     Retries resolve geometrically, so the traversal ends in success with
-    probability p_success / (p_success + p_fail); exactly 1 when p_fail == 0.
+    probability p_success / (p_success + p_fail), exactly 1 when p_fail == 0
+    since p_success > 0.
     """
-    if probs.p_fail == 0.0:
-        return 1.0
     return probs.p_success / (probs.p_success + probs.p_fail)
 
 
@@ -413,14 +412,8 @@ def mission_from_dict(doc, env=None):
     end = doc["end"]
     if not _is_number(end, int):
         raise ValueError(f"end {end!r} must be a node id")
-    threshold = doc.get("threshold", 0.9)
-    hold_limit = doc.get("hold_limit", 10)
-    if not _is_number(threshold):
-        raise ValueError(f"threshold {threshold!r} must be a number")
-    if not _is_number(hold_limit, int):
-        raise ValueError(f"hold_limit {hold_limit!r} must be an integer")
-
-    m = MissionSpec(start, tasks, end, safe, float(threshold), hold_limit)
+    m = MissionSpec(start, tasks, end, safe, doc.get("threshold", 0.9),
+                    doc.get("hold_limit", 10))
     if env is not None:
         referenced = list(tasks) + list(safe) + [end]
         if m.start is not None:

@@ -63,7 +63,7 @@ class HeatParams:
         for name in ("path_heat", "neighbor_heat"):
             v = getattr(self, name)
             if not (_is_number(v) and 0.0 <= v < 1.0):
-                raise ValueError(f"{name}={v!r} outside [0, 1)")
+                raise ValueError(f"heat {name!r} {v!r} outside [0, 1)")
 
 
 def predict_human_path(g, h):
@@ -102,12 +102,12 @@ def build_heat_map(g, h, params):
 
 
 def heated_probs(p, h):
-    """Outcome row of p under heat h: success scales by (1 - h), the
-    removed mass becomes retry, p_fail is untouched."""
+    """Outcome row of p under a heat h in [0, 1): success scales by
+    (1 - h), the removed mass becomes retry, p_fail is untouched."""
     if h == 0.0:
         return p
-    if not (0.0 <= h < 1.0):
-        raise ValueError(f"heat {h} outside [0, 1)")
+    if not (_is_number(h) and 0.0 <= h < 1.0):
+        raise ValueError(f"heat {h!r} outside [0, 1)")
     scaled = p.p_success * (1.0 - h)
     moved = p.p_success - scaled
     return OutcomeProbs(scaled, p.p_retry + moved, p.p_fail)
@@ -118,16 +118,20 @@ def apply_heat(g, heat_map):
 
     The removed mass moves to retry; p_fail is untouched, so heat models
     temporary blockage rather than added danger on a single attempt.
-    On a base graph the heated row of each (risk class, heat) is memoized.
+    Every key must name an edge, even at zero heat.  On a base graph the
+    heated row of each (risk class, heat) is memoized.
     """
     memo = g.memo("heated")
     overrides = {}
     for key, h in heat_map.items():
+        try:
+            edge = g.edge(*key)
+        except TypeError:  # a key that is not a pair of nodes
+            edge = None
+        if edge is None:
+            raise ValueError(f"heat on missing edge {key!r}")
         if h == 0.0:
             continue
-        edge = g.edge(*key)
-        if edge is None:
-            raise ValueError(f"heat on missing edge {key}")
         row = memo.get((edge.risk, h))
         if row is None:
             row = _remember(memo, (edge.risk, h),

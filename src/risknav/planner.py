@@ -39,14 +39,15 @@ class Path:
 
 
 class UnreachableNodeError(ValueError):
-    """A mission references a node no path can reach."""
+    """No solution to a well-formed query: no path joins two nodes, a node
+    sequence misses a hop, or a start cannot reach a mission waypoint."""
 
 
 def path_from_nodes(g, nodes):
     """Build a Path from an explicit node sequence.
 
-    Every consecutive pair must be an edge of g; raises ValueError naming
-    the missing pair otherwise.
+    Every node is checked first; then each consecutive pair must be an
+    edge of g, or UnreachableNodeError names the first missing one.
     """
     nodes = tuple(nodes)
     if not nodes:
@@ -58,7 +59,7 @@ def path_from_nodes(g, nodes):
     for a, b in zip(nodes, nodes[1:]):
         edge = g.edge(a, b)
         if edge is None:
-            raise ValueError(f"no edge between {a} and {b}")
+            raise UnreachableNodeError(f"no edge between {a} and {b}")
         dist = dist + edge.distance
         prob = prob * g.effective(edge)
     return Path(nodes, dist, prob)

@@ -437,10 +437,7 @@ def load_sweep_config(source):
     if not isinstance(heat_doc, dict):
         raise ValueError("sweep config: 'heat' must be an object")
     _reject_unknown(heat_doc, _HEAT_FIELDS, "sweep config heat")
-    for name, v in heat_doc.items():
-        if not _is_number(v):
-            raise ValueError(f"sweep config heat: {name!r} must be a number")
-    heat = HeatParams(**{k: float(v) for k, v in heat_doc.items()})
+    heat = HeatParams(**heat_doc)
 
     levels = doc.get("levels", DEFAULT_LEVELS)
     if (not isinstance(levels, (list, tuple))
@@ -448,13 +445,10 @@ def load_sweep_config(source):
         raise ValueError("sweep config: 'levels' must be a list of numbers")
     levels = tuple(float(u) for u in levels)
     episodes = doc.get("episodes_per_level", DEFAULT_EPISODES_PER_LEVEL)
-    seed = doc.get("seed", 0)
     workers = doc.get("workers", 1)
     if not _is_number(episodes, int) or not _is_number(workers, int):
         raise ValueError("episodes_per_level and workers must be integers")
-    if not _is_number(seed, int):
-        raise ValueError("seed must be an integer")
 
     base = EpisodeConfig(env, mission, heat, levels[0] if levels else 0.0,
-                         seed)
+                         doc.get("seed", 0))
     return SweepSettings(base, levels, episodes, workers)

@@ -89,7 +89,7 @@ class TestPlan:
         env = write_env(tmp_path, split_doc)
         code, out, err = run(capsys, "plan", "0", "3", "--env", env)
         assert code == 2
-        assert "no path" in err
+        assert (out, err) == ("", "error: no path from 0 to 3\n")
 
     def test_missing_file_exits_one_and_names_it(self, capsys):
         code, _, err = run(capsys, "plan", "0", "1",

@@ -141,6 +141,9 @@ class TestHeatedProbs:
     def test_heat_of_one_rejected(self):
         with pytest.raises(ValueError, match="heat"):
             heated_probs(OutcomeProbs(0.9, 0.05, 0.05), 1.0)
+        for h in ("0.5", None):
+            with pytest.raises(ValueError, match="heat"):
+                heated_probs(OutcomeProbs(0.9, 0.05, 0.05), h)
 
 
 class TestApplyHeat:
@@ -170,10 +173,17 @@ class TestApplyHeat:
         apply_heat(g, {(1, 2): 0.5})
         assert g.probs(g.edge(1, 2)) is before
 
-    def test_unknown_edge_rejected(self):
+    def test_unknown_edge_rejected(self, default_env):
         g = environment_from_dict(line_doc())
         with pytest.raises(ValueError, match="missing edge"):
             apply_heat(g, {(0, 4): 0.5})
+        # the bundled map has no edge (0, 29): its key is refused even at
+        # zero heat, and a key that is not a pair of nodes is refused too
+        for heat in ({(0, 29): 0.0}, {(0, 1, 2): 0.5}):
+            with pytest.raises(ValueError, match="missing edge"):
+                apply_heat(default_env, heat)
+        with pytest.raises(ValueError, match="heat '0.5' outside"):
+            apply_heat(default_env, {(0, 1): "0.5"})
 
     def test_zero_entries_skipped(self):
         g = environment_from_dict(line_doc())

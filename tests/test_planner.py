@@ -49,8 +49,14 @@ class TestPathFromNodes:
 
     def test_missing_edge_named(self):
         g = environment_from_dict(grid_doc())
-        with pytest.raises(ValueError, match="no edge between 0 and 4"):
+        with pytest.raises(UnreachableNodeError,
+                           match="no edge between 0 and 4"):
             path_from_nodes(g, (0, 4))
+        # every node is checked before any hop, and a bad node is
+        # malformed input rather than a missing solution
+        with pytest.raises(ValueError, match="99") as exc:
+            path_from_nodes(g, (0, 4, 99))
+        assert not isinstance(exc.value, UnreachableNodeError)
 
     def test_empty_sequence_rejected(self):
         g = environment_from_dict(grid_doc())
