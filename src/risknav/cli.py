@@ -15,8 +15,7 @@ import os
 import sys
 import tempfile
 
-from .env import (load_default_environment, load_default_mission,
-                  load_environment, load_mission)
+from .env import _environment_or_default, _mission_or_default
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     predict_human_path)
 from .planner import (UnreachableNodeError, check_reachable,
@@ -39,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT_ERROR)
-
-
-def _load_env(path):
-    return load_default_environment() if path is None else \
-        load_environment(path)
-
-
-def _load_mission(path, env):
-    return load_default_mission(env) if path is None else \
-        load_mission(path, env)
 
 
 def _parse_human(g, text):
@@ -98,7 +87,7 @@ def _fmt_nodes(nodes):
 
 
 def cmd_plan(args):
-    g = _load_env(args.env)
+    g = _environment_or_default(args.env)
     start = g.check_node(args.start)
     goal = g.check_node(args.goal)
 
@@ -125,7 +114,7 @@ def cmd_plan(args):
 
 
 def cmd_validate(args):
-    chain = build_chain(_load_env(args.env), args.nodes)
+    chain = build_chain(_environment_or_default(args.env), args.nodes)
     r = evaluate_chain(chain)
     print(f"path:      {_fmt_nodes(chain.path)}")
     print(f"validated: {r!r}")
@@ -133,7 +122,7 @@ def cmd_validate(args):
 
 
 def cmd_export_prism(args):
-    chain = build_chain(_load_env(args.env), args.nodes)
+    chain = build_chain(_environment_or_default(args.env), args.nodes)
     label = "path " + "-".join(str(n) for n in args.nodes)
     model, props = export_prism(chain, label)
     _write_atomic(args.out + ".nm", model)
@@ -144,8 +133,8 @@ def cmd_export_prism(args):
 
 
 def cmd_simulate(args):
-    g = _load_env(args.env)
-    mission = _load_mission(args.mission, g)
+    g = _environment_or_default(args.env)
+    mission = _mission_or_default(args.mission, g)
     check_reachable(g, mission)
     cfg = EpisodeConfig(g, mission, HeatParams(), args.uncertainty,
                         args.seed)

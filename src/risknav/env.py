@@ -96,12 +96,21 @@ class EnvironmentGraph:
     Adjacency queries return neighbours in ascending node-id order, so every
     traversal of the structure is deterministic.  The constructor checks
     every edge, naming its index, and stores it with a < b and a float
-    distance.
+    distance; the node count must be an int of at least 1, and every risk
+    table row an OutcomeProbs.
     """
 
     def __init__(self, node_count, risk_table, edges, labels=None, xy=None):
+        if not _is_number(node_count, int):
+            raise ValueError(f"node count {node_count!r} must be an integer")
+        if node_count < 1:
+            raise ValueError(f"node count {node_count} below 1")
         self.node_count = node_count
         self.risk_table = dict(risk_table)
+        for name, p in self.risk_table.items():
+            if not isinstance(p, OutcomeProbs):
+                raise ValueError(f"risk class {name!r}: {p!r} is not an "
+                                 "OutcomeProbs")
         self.labels = dict(labels or {})
         self.xy = dict(xy or {})
         self.edges = {}
@@ -195,38 +204,27 @@ class EnvironmentGraph:
 class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
-    Shares the base graph's topology and distances; only probability queries
-    differ.  Planner and validator code accepts either graph type.  An
-    overlay shares no memo: its probabilities are not its base's.
+    Takes its topology (node_count, nodes, check_node, neighbors, edge and
+    the adjacency) from the base graph; only probability queries differ.
+    Planner and validator code accepts either graph type.  An overlay
+    shares no memo: its probabilities are not its base's.
     """
 
     def __init__(self, base, overrides):
         self.base = base
         self._adj = base._adj
+        self.node_count = base.node_count
+        self.nodes = base.nodes
+        self.check_node = base.check_node
+        self.neighbors = base.neighbors
+        self.edge = base.edge
         self.overrides = dict(overrides)
         self._eff = {key: effective_success(p)
                      for key, p in self.overrides.items()}
 
-    @property
-    def node_count(self):
-        return self.base.node_count
-
-    @property
-    def nodes(self):
-        return self.base.nodes
-
     def memo(self, table):
         """A fresh table each call, so nothing derived here is kept."""
         return {}
-
-    def check_node(self, node):
-        return self.base.check_node(node)
-
-    def neighbors(self, node):
-        return self.base.neighbors(node)
-
-    def edge(self, a, b):
-        return self.base.edge(a, b)
 
     def probs(self, edge):
         hit = self.overrides.get(edge.key())
@@ -344,14 +342,8 @@ def environment_from_dict(doc):
                 xy[i] = (float(pt[0]), float(pt[1]))
     else:
         raise ValueError("'nodes' must be an integer count or a list")
-    if count < 1:
-        raise ValueError(f"node count {count} below 1")
 
-    if "risk_table" in doc:
-        table = _parse_risk_table(doc["risk_table"])
-    else:
-        table = {name: OutcomeProbs.from_pair(*pair)
-                 for name, pair in DEFAULT_RISK_TABLE.items()}
+    table = _parse_risk_table(doc.get("risk_table", DEFAULT_RISK_TABLE))
 
     if not isinstance(doc["edges"], list):
         raise ValueError("'edges' must be a list")
@@ -479,3 +471,14 @@ def load_default_environment():
 def load_default_mission(env=None):
     """The bundled surveillance mission over the default environment."""
     return mission_from_dict(_bundled("default_mission.json"), env)
+
+
+# no file means the bundled map or mission, for the CLI and sweep configs
+def _environment_or_default(path):
+    return load_default_environment() if path is None else \
+        load_environment(path)
+
+
+def _mission_or_default(path, env):
+    return load_default_mission(env) if path is None else \
+        load_mission(path, env)

@@ -118,8 +118,8 @@ def apply_heat(g, heat_map):
 
     The removed mass moves to retry; p_fail is untouched, so heat models
     temporary blockage rather than added danger on a single attempt.
-    Every key must name an edge, even at zero heat.  On a base graph the
-    heated row of each (risk class, heat) is memoized.
+    Each key must name an edge and each heat be a number in [0, 1), on a
+    memo hit too; the heated row of each (risk class, heat) is memoized.
     """
     memo = g.memo("heated")
     overrides = {}
@@ -130,6 +130,9 @@ def apply_heat(g, heat_map):
             edge = None
         if edge is None:
             raise ValueError(f"heat on missing edge {key!r}")
+        # build_heat_map yields floats, so they skip the full type check
+        if not (type(h) is float or _is_number(h)) or not 0.0 <= h < 1.0:
+            raise ValueError(f"heat {h!r} outside [0, 1)")
         if h == 0.0:
             continue
         row = memo.get((edge.risk, h))

@@ -11,12 +11,15 @@ memoizes it as a tree of paths to every reachable node; on a heat overlay
 the search stops at the goal.  Task ordering reads its legs from the
 max-success trees of its start and of each task.  Every memo is a g.memo
 table: search trees per objective and source, and mission plans per
-(tasks, end node, start).  A heat overlay's tables are never kept.
+(tasks, end node, start).  A heat overlay's tables are never kept, and
+the permutation table of k tasks is kept per process, not per graph.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -169,17 +172,19 @@ def check_reachable(g, mission, starts=None):
     """Raise UnreachableNodeError unless every start reaches every waypoint.
 
     starts defaults to every start the mission can draw: mission.start, or
-    every node when the start is random.  Edges are undirected, so a start
-    reaches a waypoint exactly when it lies in the waypoint's search tree.
+    every node when the start is random.  Edges are undirected, so that
+    holds exactly when all starts and waypoints lie in one component, the
+    first waypoint's search tree; the first failing waypoint is named.
     """
     if starts is None:
         starts = (g.nodes if mission.start is None
                   else (g.check_node(mission.start),))
-    for t in mission.tasks + (mission.end,):
+    waypoints = mission.tasks + (mission.end,)
+    reached = _tree(g, g.check_node(waypoints[0]))
+    for t in waypoints:
         g.check_node(t)
-        tree = _tree(g, t)
         for s in starts:
-            if s not in tree:
+            if s not in reached or t not in reached:
                 kind = "end node" if t == mission.end else "task"
                 raise UnreachableNodeError(
                     f"{kind} {t} is unreachable from node {s}")
@@ -244,22 +249,15 @@ def _best_order(trees, tasks, end):
     return min(tuple(tasks[i] for i in perms[b]) for b in best)
 
 
+@functools.cache
 def _permutations(k):
-    """Every permutation of range(k), one per row, in no fixed order.
+    """Every permutation of range(k), one per row, as a read-only array.
 
-    Built by inserting n at each position of the permutations of range(n),
-    which is several times faster than converting itertools.permutations.
-    k is at most 8, so int8 entries suffice and keep the array small.
+    Cached in the module rather than in g.memo: the table depends on k
+    alone, not on any graph.  k is at most 8, so int8 entries suffice.
     """
-    perms = np.zeros((1, 0), dtype=np.int8)
-    for n in range(k):
-        m = len(perms)
-        grown = np.empty((n + 1, m, n + 1), dtype=np.int8)
-        for pos in range(n + 1):
-            grown[pos, :, :pos] = perms[:, :pos]
-            grown[pos, :, pos] = n
-            grown[pos, :, pos + 1:] = perms[:, pos:]
-        perms = grown.reshape(-1, n + 1)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    perms.flags.writeable = False
     return perms
 
 

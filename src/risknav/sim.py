@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import (EnvironmentGraph, HeatedGraph, MissionSpec, _is_number,
-                  _read_json, _reject_unknown, _remember,
-                  load_default_environment, load_default_mission,
-                  load_environment, load_mission)
+from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
+                  _environment_or_default, _is_number, _mission_or_default,
+                  _read_json, _reject_unknown, _remember)
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     predict_human_path, step_human)
 from .planner import (check_reachable, max_success_path, order_tasks,
@@ -424,14 +423,8 @@ def load_sweep_config(source):
         if not isinstance(doc.get(name, ""), str):
             raise ValueError(f"sweep config: {name!r} must be a file name")
 
-    if "environment" in doc:
-        env = load_environment(doc["environment"])
-    else:
-        env = load_default_environment()
-    if "mission" in doc:
-        mission = load_mission(doc["mission"], env)
-    else:
-        mission = load_default_mission(env)
+    env = _environment_or_default(doc.get("environment"))
+    mission = _mission_or_default(doc.get("mission"), env)
 
     heat_doc = doc.get("heat", {})
     if not isinstance(heat_doc, dict):

@@ -98,9 +98,11 @@ class TestPlan:
         assert "/no/such/env.json" in err
 
     def test_bad_human_argument_exits_one(self, capsys):
-        code, _, err = run(capsys, "plan", "25", "17", "--human", "fifteen,6")
-        assert code == 1
-        assert "--human" in err
+        # a field that is not a number, and the wrong number of fields
+        for text in ("fifteen,6", "1"):
+            code, _, err = run(capsys, "plan", "25", "17", "--human", text)
+            assert code == 1
+            assert f"--human {text!r}" in err
 
     def test_unreachable_human_goal_exits_one(self, capsys, tmp_path):
         env = write_env(tmp_path, split_doc)
@@ -247,6 +249,36 @@ class TestSimulate:
         assert episodes == []
 
 
+# an integer too large for a float, where a float is expected
+HUGE = 10 ** 400
+
+# (flag, JSON document, text the error line must hold)
+WRONGLY_SHAPED = [
+    ("--env", {"nodes": 2, "edges": 5}, "'edges'"),
+    ("--env", {"nodes": 2, "edges": [[0, 1, 1.0, ["Low"]]]}, "risk class"),
+    ("--env", {"nodes": 2, "risk_table": [1], "edges": []}, "'risk_table'"),
+    ("--env", {"nodes": 2, "risk_table": {}, "edges": []}, "risk_table"),
+    ("--env", [1], "environment document must be an object"),
+    ("--env", {"nodes": [5], "edges": []}, "node 0: expected an object"),
+    ("--env", {"nodes": 2, "edges": [[0, 1, 1.0]]}, "edge 0: expected"),
+    ("--mission", [1], "mission document must be an object"),
+    ("--config", [1], "sweep config must be an object"),
+    ("--config", {"heat": 5}, "'heat' must be an object"),
+    ("--config", {"levels": 0.5}, "'levels'"),
+    ("--config", {"levels": [None]}, "'levels'"),
+    ("--config", {"heat": {"path_heat": None}}, "'path_heat'"),
+    ("--config", {"environment": 5}, "'environment'"),
+    ("--config", {"levels": [0.5, HUGE]}, "'levels'"),
+    ("--config", {"heat": {"path_heat": HUGE}}, "'path_heat'"),
+    ("--env", {"nodes": 2, "edges": [[0, 1, HUGE, "Low"]]},
+     f"distance {HUGE} not finite"),
+    ("--env", {"nodes": 2, "risk_table": {"Low": [HUGE, 0.0]}, "edges": []},
+     "risk class 'Low'"),
+    ("--mission", {"start": 0, "tasks": [1], "end": 2, "safe_locations": [],
+                   "threshold": HUGE}, "threshold"),
+]
+
+
 class TestSweep:
     def test_unreachable_possible_start_exits_two(self, capsys, tmp_path,
                                                   monkeypatch):
@@ -317,45 +349,47 @@ class TestSweep:
         assert flagged == bare
         assert flagged.split("\n")[1] == "0,0.00,0,4,0,0.00,0"
 
-    def test_wrongly_shaped_input_exits_one_without_a_traceback(self,
+    def test_out_directory_exits_one_without_output(self, capsys,
+                                                     tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run(capsys, "sweep", "--levels", "0",
+                             "--episodes", "2", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the temporary file is removed along with the failed rename
+        assert list(tmp_path.rglob("*")) == [target]
+
+    def test_wrongly_shaped_input_exits_one_without_a_traceback(self, capsys,
                                                                 tmp_path):
-        # JSON that parses but has the wrong shape, run as a real process
-        src = pathlib.Path(risknav.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        # an integer too large for a float, where a float is expected
-        huge = 10 ** 400
-        cases = [
-            ("--env", {"nodes": 2, "edges": 5}, "'edges'"),
-            ("--env", {"nodes": 2, "edges": [[0, 1, 1.0, ["Low"]]]},
-             "risk class"),
-            ("--env", {"nodes": 2, "risk_table": [1], "edges": []},
-             "'risk_table'"),
-            ("--config", {"levels": 0.5}, "'levels'"),
-            ("--config", {"levels": [None]}, "'levels'"),
-            ("--config", {"heat": {"path_heat": None}}, "'path_heat'"),
-            ("--config", {"environment": 5}, "'environment'"),
-            ("--config", {"levels": [0.5, huge]}, "'levels'"),
-            ("--config", {"heat": {"path_heat": huge}}, "'path_heat'"),
-            ("--env", {"nodes": 2, "edges": [[0, 1, huge, "Low"]]},
-             f"distance {huge} not finite"),
-            ("--env", {"nodes": 2, "risk_table": {"Low": [huge, 0.0]},
-                       "edges": []}, "risk class 'Low'"),
-            ("--mission", {"start": 0, "tasks": [1], "end": 2,
-                           "safe_locations": [], "threshold": huge},
-             "threshold"),
-        ]
-        for i, (flag, doc, field) in enumerate(cases):
+        # JSON that parses but has the wrong shape, run through cli.main
+        for i, (flag, doc, field) in enumerate(WRONGLY_SHAPED):
             target = tmp_path / f"case{i}.json"
             target.write_text(json.dumps(doc))
-            proc = subprocess.run(
-                [sys.executable, "-m", "risknav.cli", "sweep", flag,
-                 str(target), "--episodes", "1"],
-                capture_output=True, text=True, env=env, timeout=60)
-            assert proc.returncode == 1, doc
-            assert "Traceback" not in proc.stderr, doc
-            assert proc.stderr.startswith("error: "), doc
-            assert proc.stderr.count("\n") == 1, doc
-            assert field in proc.stderr, doc
+            code, out, err = run(capsys, "sweep", flag, str(target),
+                                 "--episodes", "1")
+            assert (code, out) == (1, ""), doc
+            assert err.startswith("error: "), doc
+            assert err.count("\n") == 1, doc
+            assert field in err, doc
+
+    def test_module_entry_point_exits_one_without_a_traceback(self,
+                                                              tmp_path):
+        # one wrongly shaped case as a real `python -m risknav.cli` process
+        src = pathlib.Path(risknav.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        flag, doc, field = WRONGLY_SHAPED[0]
+        target = tmp_path / "case.json"
+        target.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "risknav.cli", "sweep", flag,
+             str(target), "--episodes", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert field in proc.stderr
 
     def test_bad_config_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"

@@ -128,6 +128,23 @@ class TestEnvironmentGraph:
         with pytest.raises(ValueError, match=message):
             EnvironmentGraph(3, table, edges)
 
+    @pytest.mark.parametrize("count, message", [
+        (2.5, "node count 2.5 must be an integer"),
+        (True, "node count True must be an integer"),
+        ("3", "node count '3' must be an integer"),
+        (0, "node count 0 below 1"),
+        (-2, "node count -2 below 1"),
+    ])
+    def test_constructor_checks_the_node_count(self, count, message):
+        table = {"Low": OutcomeProbs.from_pair(0.999, 0.0009)}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EnvironmentGraph(count, table, [])
+
+    def test_constructor_refuses_a_row_that_is_not_outcome_probs(self):
+        with pytest.raises(ValueError, match="^risk class 'Low': "
+                           r"\(0.9, 0.1\) is not an OutcomeProbs$"):
+            EnvironmentGraph(2, {"Low": (0.9, 0.1)}, [])
+
     def test_effective_matches_probability_table(self):
         g = environment_from_dict(self.doc())
         e = g.edge(1, 2)

@@ -190,6 +190,18 @@ class TestApplyHeat:
         hot = apply_heat(g, {(1, 2): 0.0})
         assert hot.overrides == {}
 
+    def test_every_heat_is_checked_before_the_memo(self):
+        # a float32 heat equals and hashes like the Python float, so a
+        # memo lookup first would accept it once 0.5 had been applied
+        g = environment_from_dict(line_doc())
+        for warm in (False, True):
+            if warm:
+                apply_heat(g, {(1, 2): 0.5})
+            with pytest.raises(ValueError, match="heat .*0.5.* outside"):
+                apply_heat(g, {(1, 2): np.float32(0.5)})
+        with pytest.raises(ValueError, match=r"heat \[0.5\] outside"):
+            apply_heat(g, {(1, 2): [0.5]})
+
 
 class TestStepHuman:
     def test_certain_human_walks_the_prediction(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from risknav import (MissionPlan, MissionSpec, UnreachableNodeError,
                      environment_from_dict, max_success_path, order_tasks,
                      path_from_nodes, shortest_distance_path)
 from risknav.human import apply_heat
+from risknav.planner import _permutations, check_reachable
 
 from conftest import (oracle_max_success, oracle_shortest, path_stats,
                       random_connected_doc, random_environment)
@@ -279,3 +281,77 @@ class TestOrderTasks:
             plan = order_tasks(g, mission, 0)
         # nearest-first on a line is simply the line order
         assert plan.ordered_tasks == tuple(range(1, 11))
+
+
+def per_waypoint_reachable(g, mission, starts=None):
+    """check_reachable's rule with one reachable set per waypoint, found by
+    a breadth-first walk from that waypoint."""
+    if starts is None:
+        starts = (g.nodes if mission.start is None
+                  else (g.check_node(mission.start),))
+    for t in mission.tasks + (mission.end,):
+        g.check_node(t)
+        reached, frontier = {t}, [t]
+        while frontier:
+            frontier = [n for m in frontier for n, _ in g.neighbors(m)
+                        if n not in reached]
+            reached.update(frontier)
+        for s in starts:
+            if s not in reached:
+                kind = "end node" if t == mission.end else "task"
+                raise UnreachableNodeError(
+                    f"{kind} {t} is unreachable from node {s}")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckReachable:
+    def test_matches_one_tree_per_waypoint(self):
+        # maps of 1-7 nodes with random, often disconnected edges; ids are
+        # drawn from -1..n, so some are out of range, and starts may be
+        # None, empty or a random tuple
+        rng = np.random.default_rng(16)
+        raised = set()
+        for _ in range(1_000):
+            n = int(rng.integers(1, 8))
+            pairs = {(a, b) for a in range(n) for b in range(a + 1, n)
+                     if rng.random() < 0.3}
+            g = environment_from_dict(
+                {"nodes": n, "edges": [[a, b, 1.0, "Low"] for a, b in pairs]})
+
+            def node():
+                return int(rng.integers(-1, n + 1))
+
+            for _ in range(10):
+                ids = [int(v) for v in rng.permutation(np.arange(-1, n + 1))]
+                k = int(rng.integers(0, len(ids)))
+                tasks, end = tuple(ids[:k]), ids[k]
+                start = None if rng.random() < 0.5 else node()
+                mission = MissionSpec(start, tasks, end, ())
+                starts = (None if rng.random() < 0.5 else
+                          tuple(node() for _ in range(rng.integers(0, 4))))
+                found = outcome(check_reachable, g, mission, starts)
+                assert found == outcome(per_waypoint_reachable, g, mission,
+                                        starts)
+                raised.add(found and found[0])
+        # every branch was reached: passes, bad ids and unreachable nodes
+        assert raised == {None, ValueError, UnreachableNodeError}
+
+
+class TestPermutations:
+    def test_every_order_once_and_read_only(self):
+        for k in range(9):
+            perms = _permutations(k)
+            rows = {tuple(row) for row in perms.tolist()}
+            assert perms.shape == (math.factorial(k), k)
+            assert len(rows) == math.factorial(k)
+            assert all(sorted(row) == list(range(k)) for row in rows)
+            with pytest.raises(ValueError, match="read-only"):
+                perms[...] = 0
+            assert _permutations(k) is perms
