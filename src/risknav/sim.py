@@ -152,10 +152,10 @@ def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
     What a tick derives is memoized in g.memo, which a base graph shares
-    with every episode it runs: the human's sorted heat map per
-    (position, predicted nodes, uncertainty, heat parameters), and the
-    step (the max-success path on the heated map, the heated outcome row
-    of its first edge and that row's effective success) per robot,
+    with every episode it runs: the human's sorted heat map per (predicted
+    nodes, which start at its position, uncertainty, heat parameters), and
+    the step (the max-success path on the heated map, the heated outcome
+    row of its first edge and that row's effective success) per robot,
     objective and heat map.  The robot moves only while that effective
     success is at least the mission threshold.  The human has no goal
     (so it is predicted to stay put) until a redirect; step_human moves it.
@@ -198,8 +198,7 @@ def run_episode(cfg):
         human = step_human(g, human, rng)
         if outstanding is not None:
             settled = settled + 1 if human.position == outstanding else 0
-        hkey = (human.position, human.predicted_path.nodes,
-                human.uncertainty, heat_params)
+        hkey = (human.predicted_path.nodes, human.uncertainty, heat_params)
         heat = heat_memo.get(hkey)
         if heat is None:
             heat = _remember(heat_memo, hkey, tuple(sorted(
@@ -279,21 +278,20 @@ class SweepReport:
 _WORKER = {}
 
 
-def _sweep_worker_init(base, levels):
-    _WORKER["base"] = base
+def _sweep_worker_init(levels):
     _WORKER["levels"] = levels
 
 
 def _sweep_chunk(job):
-    return _run_chunk(_WORKER["base"], _WORKER["levels"], *job)
+    return _run_chunk(_WORKER["levels"], *job)
 
 
-def _run_chunk(base, levels, level_index, lo, hi):
+def _run_chunk(levels, level_index, lo, hi):
+    level = levels[level_index]
     tally = Counter()
     for j in range(lo, hi):
-        cfg = replace(base, uncertainty=levels[level_index],
-                      seed=derive_seed(base.seed, level_index, j))
-        out = run_episode(cfg)
+        out = run_episode(replace(
+            level, seed=derive_seed(level.seed, level_index, j)))
         tally[out.failure_cause, out.redirects] += 1
     return level_index, tally
 
@@ -312,18 +310,16 @@ def _sweep_row(u, tally):
 def run_sweep(base, levels, episodes_per_level, workers=1):
     """Sweep uncertainty levels; returns one SweepRow per level.
 
-    Seeds are fixed by (base.seed, level index, episode index) alone.
-    Each chunk of episodes returns a Counter of (failure cause,
-    redirects); a level's chunks add up to one Counter, from which its
-    row is derived, so the report is identical for any worker count.
-    Raises UnreachableNodeError before the first episode when some
-    possible start cannot reach a task or the end node.
+    Level u runs as the EpisodeConfig replace(base, uncertainty=u), with seeds
+    fixed by (base.seed, level index, episode index) alone.  Each chunk of
+    episodes returns a Counter of (failure cause, redirects); a level's chunks
+    add up to one Counter, from which its row is derived, so the report is
+    identical for any worker count.  Raises UnreachableNodeError before the
+    first episode when some possible start cannot reach a task or the end node.
     """
-    levels = list(levels)
-    for u in levels:
-        if not (_is_number(u) and 0.0 <= u <= 1.0):
-            raise ValueError(f"uncertainty level {u!r} outside [0, 1]")
-    levels = [float(u) for u in levels]
+    if not isinstance(base, EpisodeConfig):
+        raise ValueError(f"base {base!r} must be an EpisodeConfig")
+    levels = tuple(replace(base, uncertainty=u) for u in levels)
     if not levels:
         raise ValueError("no uncertainty levels given")
     if not _is_number(episodes_per_level, int) or episodes_per_level < 1:
@@ -342,19 +338,19 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
     # for more processes than there are jobs
     workers = min(workers, len(jobs))
     if workers == 1:
-        parts = [_run_chunk(base, levels, *job) for job in jobs]
+        parts = [_run_chunk(levels, *job) for job in jobs]
     else:
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_sweep_worker_init,
-                initargs=(base, levels)) as pool:
+                initargs=(levels,)) as pool:
             parts = list(pool.map(_sweep_chunk, jobs))
 
     tallies = [Counter() for _ in levels]
     for i, tally in parts:
         tallies[i] += tally
-    return SweepReport(tuple(_sweep_row(u, tally)
-                             for u, tally in zip(levels, tallies)))
+    return SweepReport(tuple(_sweep_row(level.uncertainty, tally)
+                             for level, tally in zip(levels, tallies)))
 
 
 CSV_HEADER = ("uncertainty,success_pct,success,fail,"
@@ -413,9 +409,9 @@ def load_sweep_config(source):
 
     This is the one place sweep defaults are resolved: an omitted field
     takes the bundled environment or mission, HeatParams(), DEFAULT_LEVELS,
-    DEFAULT_EPISODES_PER_LEVEL, seed 0 or 1 worker.  A file's relative
-    references resolve against its directory, a document's against the
-    working directory.
+    DEFAULT_EPISODES_PER_LEVEL, seed 0 or 1 worker; the base's uncertainty
+    is 0.0, as run_sweep sets each level's.  Relative references resolve
+    against a file's directory, or for a document the working directory.
     """
     doc = source if isinstance(source, dict) else read_sweep_config(source)
     _reject_unknown(doc, _SWEEP_FIELDS, "sweep config")
@@ -442,6 +438,5 @@ def load_sweep_config(source):
     if not _is_number(episodes, int) or not _is_number(workers, int):
         raise ValueError("episodes_per_level and workers must be integers")
 
-    base = EpisodeConfig(env, mission, heat, levels[0] if levels else 0.0,
-                         doc.get("seed", 0))
+    base = EpisodeConfig(env, mission, heat, 0.0, doc.get("seed", 0))
     return SweepSettings(base, levels, episodes, workers)

@@ -5,7 +5,8 @@ import pytest
 
 from risknav import (HeatParams, HumanState, OutcomeProbs, apply_heat,
                      build_heat_map, environment_from_dict,
-                     predict_human_path, step_human)
+                     load_default_environment, predict_human_path,
+                     step_human)
 from risknav.human import heated_probs
 from risknav.planner import Path, path_from_nodes, shortest_distance_path
 
@@ -214,6 +215,20 @@ class TestStepHuman:
         h = step_human(g, h, rng)
         assert h.position == 2
         assert h.predicted_path.nodes == (2,)
+
+    def test_follower_walks_the_tail_not_a_new_prediction(self):
+        # from 9 the walk through node 2 is the shorter by rounding, but
+        # from 10 both walks measure 7.14 and the tie-break takes node 1;
+        # a follower keeps the tail of the walk it was predicted
+        g = load_default_environment()
+        h = HumanState(9, 0, 0.0)
+        h = HumanState(9, 0, 0.0, predict_human_path(g, h))
+        assert h.predicted_path.nodes == (9, 10, 11, 8, 7, 3, 2, 0)
+        h = step_human(g, h, np.random.default_rng(0))
+        assert h.position == 10
+        assert h.predicted_path.nodes == (10, 11, 8, 7, 3, 2, 0)
+        assert shortest_distance_path(g, 10, 0).nodes \
+            == (10, 11, 8, 7, 3, 1, 0)
 
     def test_heated_overlay_keeps_its_own_probabilities(self):
         # only a base graph memoizes the follow step, so an overlay's

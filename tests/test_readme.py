@@ -1,6 +1,7 @@
 """The README's documented API runs as written."""
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import re
@@ -77,17 +78,28 @@ def test_demos_run(capsys, monkeypatch):
     section = README.read_text().split("## Demos", 1)[1]
     demos = re.findall(r"^python3 (demos/\S+\.py)", section, re.MULTILINE)
     # the sweep demo takes its documented episodes-per-level argument and
-    # prints the CSV first (its banner goes to stderr)
-    first_lines = {
-        "demos/map_tour.py": ([], "bundled map: 30 nodes, 42 edges"),
+    # prints the CSV first (its banner goes to stderr); the SHA-256 pins
+    # each demo's whole stdout
+    expected = {
+        "demos/map_tour.py": (
+            [], "bundled map: 30 nodes, 42 edges",
+            "b40d1745710df09b12749c0e591836c8"
+            "7957fb225e8b4dfd6b492355e6990d3b"),
         "demos/replan_walkthrough.py": (
             [], "human at 15 heading to 6, predicted walk: "
-                "15 -> 11 -> 8 -> 4 -> 6"),
-        "demos/uncertainty_report.py": (["20"], CSV_HEADER),
+                "15 -> 11 -> 8 -> 4 -> 6",
+            "294ef0776510193589de3363a079853a"
+            "00dca562ec270ce269d2a0071f4b83fb"),
+        "demos/uncertainty_report.py": (
+            ["20"], CSV_HEADER,
+            "92327b2a26afee8576b7b48f0ccf023e"
+            "34c6574fe380079bf3f670909bc226ac"),
     }
-    assert sorted(demos) == sorted(first_lines)
+    assert sorted(demos) == sorted(expected)
     for demo in demos:
-        args, first = first_lines[demo]
+        args, first, digest = expected[demo]
         monkeypatch.setattr(sys, "argv", [demo] + args)
         runpy.run_path(str(ROOT / demo), run_name="__main__")
-        assert capsys.readouterr().out.splitlines()[0] == first
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == first
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, demo

@@ -333,8 +333,8 @@ class TestGraphMemo:
 
             assert used._memo["heat"]
             for key, heat_tuple in used._memo["heat"].items():
-                pos, nodes, u, params = key
-                h = HumanState(pos, None, u, Path(nodes, 0.0, 1.0))
+                nodes, u, params = key
+                h = HumanState(nodes[0], None, u, Path(nodes, 0.0, 1.0))
                 assert heat_tuple == tuple(sorted(build_heat_map(
                     used, h, HeatParams(*params)).items()))
 
@@ -489,6 +489,32 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="outside"):
             run_sweep(base, [0.0, 1.2], 5)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_level_refused_before_any_episode(
+            self, default_env, default_mission, monkeypatch, workers):
+        # every level becomes an EpisodeConfig before the first job, so a
+        # bad last level stops the sweep before a process or episode starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(sim, "run_episode", refuse)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+        base = EpisodeConfig(default_env, default_mission, HeatParams(),
+                             0.0, 0)
+        with pytest.raises(ValueError,
+                           match=r"uncertainty 1\.2 outside \[0, 1\]"):
+            run_sweep(base, [0.0, 0.5, 1.2], 300, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_integer_levels_run_as_their_floats(
+            self, default_env, default_mission, workers):
+        base = EpisodeConfig(default_env, default_mission, HeatParams(),
+                             0.0, 4)
+        ints = run_sweep(base, [0, 1], 40, workers=workers)
+        floats = run_sweep(base, [0.0, 1.0], 40, workers=workers)
+        assert ints == floats
+        assert summarize(ints) == summarize(floats)
+
     def test_empty_levels_rejected(self, default_env, default_mission):
         base = EpisodeConfig(default_env, default_mission, HeatParams(),
                              0.0, 0)
@@ -512,11 +538,13 @@ class TestRunSweep:
                             (([0.0], True), "episodes_per_level"),
                             (([0.0], 5, True), "workers"),
                             (([0.0], 5, 2.0), "workers"),
-                            (([True], 5), "level"),
-                            ((["0.5"], 5), "level"),
-                            (([None], 5), "level")]:
+                            (([True], 5), "uncertainty"),
+                            ((["0.5"], 5), "uncertainty"),
+                            (([None], 5), "uncertainty")]:
             with pytest.raises(ValueError, match=field):
                 run_sweep(base, *args)
+        with pytest.raises(ValueError, match="'x' must be an EpisodeConfig"):
+            run_sweep("x", [0.0], 5)
 
 
 class TestSummarize:
