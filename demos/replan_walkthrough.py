@@ -33,7 +33,7 @@ def main():
     human = HumanState(HUMAN_POS, HUMAN_GOAL, uncertainty=0.2)
     human = replace(human, predicted_path=predict_human_path(g, human))
     print(f"human at {HUMAN_POS} heading to {HUMAN_GOAL}, predicted "
-          f"walk: {' -> '.join(str(n) for n in human.predicted_path.nodes)}")
+          f"walk: {' -> '.join(str(n) for n in human.predicted_path)}")
 
     original, r_original = plan_validated_path(g, ROBOT_START, ROBOT_GOAL)
     print(f"\nrobot plan {ROBOT_START} -> {ROBOT_GOAL} ignoring the human:")
@@ -54,7 +54,7 @@ def main():
         g, ROBOT_START, ROBOT_GOAL, heated=heated)
     print("\ndetour chosen against the heated map:")
     show("replanned", replanned, r_replanned)
-    shared = set(replanned.nodes) & set(human.predicted_path.nodes)
+    shared = set(replanned.nodes) & set(human.predicted_path)
     print(f"  nodes shared with the human's walk: {sorted(shared) or 'none'}")
 
 

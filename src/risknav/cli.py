@@ -94,7 +94,7 @@ def cmd_plan(args):
     query = g
     if args.human is not None:
         human = _parse_human(g, args.human)
-        print(f"human predicted: {_fmt_nodes(human.predicted_path.nodes)}")
+        print(f"human predicted: {_fmt_nodes(human.predicted_path)}")
         query = apply_heat(g, build_heat_map(g, human, HeatParams()))
 
     picked, r_prob = plan_validated_path(query, start, goal)

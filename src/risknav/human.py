@@ -3,12 +3,12 @@
 The robot models the human as walking the shortest-distance path toward a
 goal, deviating to a uniformly random neighbour with probability equal to
 its uncertainty; without a goal it is predicted to stay where it is.
-predict_human_path makes every prediction, so step_human alone is the
-human's transition rule.  Predicted presence is projected onto the graph
-as edge "heat"; heat scales success mass down (blocked attempts become
-retries, never catastrophes).  Each step outcome is a pure function of
-the goal, the uncertainty and the predicted nodes (following) or the new
-position (diverging), so step_human memoizes both on the base graph.
+predict_human_path makes every prediction, a tuple of node ids, so
+step_human alone is the human's transition rule.  Predicted presence is
+projected onto the graph as edge "heat"; heat scales success mass down
+(blocked attempts become retries, never catastrophes).  A step's outcome is
+a pure function of the state (following) or of its goal, uncertainty and
+new position (diverging), so step_human memoizes both on the base graph.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .env import HeatedGraph, OutcomeProbs, _is_number, _remember
-from .planner import Path, path_from_nodes, shortest_distance_path
+from .planner import shortest_distance_path
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,17 @@ class HumanState:
     position: int
     goal: int | None = None
     uncertainty: float = 0.0
-    predicted_path: Path | None = None
+    predicted_path: tuple | None = None
 
     def __post_init__(self):
         if not (_is_number(self.uncertainty) and 0 <= self.uncertainty <= 1):
             raise ValueError(f"uncertainty {self.uncertainty!r} outside "
                              "[0, 1]")
-        if self.predicted_path is not None:
-            nodes = self.predicted_path.nodes
+        nodes = self.predicted_path
+        if nodes is not None:
+            if not (isinstance(nodes, tuple) and nodes):
+                raise ValueError(f"predicted path {nodes!r} must be a "
+                                 "non-empty tuple of node ids")
             if nodes[0] != self.position:
                 raise ValueError("predicted path does not start at the "
                                  f"human position {self.position}")
@@ -67,15 +70,15 @@ class HeatParams:
 
 
 def predict_human_path(g, h):
-    """Shortest-distance path from the human's position to its goal, or
-    the one-node path at its position (stay put) when it has no goal."""
+    """The nodes of the shortest-distance path from the human's position
+    to its goal, or its position alone (stay put) when it has no goal."""
     if h.goal is None:
-        return Path((g.check_node(h.position),), 0.0, 1.0)
+        return (g.check_node(h.position),)
     path = shortest_distance_path(g, h.position, h.goal)
     if path is None:
         raise ValueError(f"human goal {h.goal} unreachable from "
                          f"position {h.position}")
-    return path
+    return path.nodes
 
 
 def build_heat_map(g, h, params):
@@ -87,11 +90,10 @@ def build_heat_map(g, h, params):
     zero-valued entries are dropped.
     """
     heat = {}
-    if h.predicted_path is not None:
-        if params.path_heat > 0.0:
-            for node in set(h.predicted_path.nodes):
-                for _, edge in g.neighbors(node):
-                    heat[edge.key()] = params.path_heat
+    if h.predicted_path is not None and params.path_heat > 0.0:
+        for node in set(h.predicted_path):
+            for _, edge in g.neighbors(node):
+                heat[edge.key()] = params.path_heat
     spill = params.neighbor_heat * h.uncertainty
     if spill > 0.0:
         for _, edge in g.neighbors(h.position):
@@ -104,10 +106,10 @@ def build_heat_map(g, h, params):
 def heated_probs(p, h):
     """Outcome row of p under a heat h in [0, 1): success scales by
     (1 - h), the removed mass becomes retry, p_fail is untouched."""
-    if h == 0.0:
-        return p
     if not (_is_number(h) and 0.0 <= h < 1.0):
         raise ValueError(f"heat {h!r} outside [0, 1)")
+    if h == 0.0:
+        return p
     scaled = p.p_success * (1.0 - h)
     moved = p.p_success - scaled
     return OutcomeProbs(scaled, p.p_retry + moved, p.p_fail)
@@ -156,15 +158,14 @@ def step_human(g, h, rng):
     diverged = h.uncertainty > 0.0 and rng.random() < h.uncertainty
     if not diverged:
         path = h.predicted_path
-        if path is None or len(path.nodes) < 2:
+        if path is None or len(path) < 2:
             return h
         memo = g.memo("follow")
-        key = (path.nodes, h.goal, h.uncertainty)
+        key = (path, h.goal, h.uncertainty)
         nxt = memo.get(key)
         if nxt is None:
-            tail = path_from_nodes(g, path.nodes[1:])
             nxt = _remember(memo, key, HumanState(
-                tail.nodes[0], h.goal, h.uncertainty, tail))
+                path[1], h.goal, h.uncertainty, path[1:]))
         return nxt
     nbrs = g.neighbors(h.position)
     if not nbrs:

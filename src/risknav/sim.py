@@ -142,12 +142,6 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                key=lambda leg: (leg.total_distance, leg.nodes[-1]))
 
 
-def _conflicts(human, a, b):
-    # the prediction is never missing here, and starts at the position
-    nodes = human.predicted_path.nodes
-    return a in nodes or b in nodes
-
-
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
@@ -198,7 +192,7 @@ def run_episode(cfg):
         human = step_human(g, human, rng)
         if outstanding is not None:
             settled = settled + 1 if human.position == outstanding else 0
-        hkey = (human.predicted_path.nodes, human.uncertainty, heat_params)
+        hkey = (human.predicted_path, human.uncertainty, heat_params)
         heat = heat_memo.get(hkey)
         if heat is None:
             heat = _remember(heat_memo, hkey, tuple(sorted(
@@ -227,13 +221,14 @@ def run_episode(cfg):
             # not asked again until it has settled at the assigned spot.
             if (holds >= REDIRECT_PATIENCE and not redirect_tried
                     and (outstanding is None or settled >= 2)
-                    and _conflicts(human, robot, nxt)):
+                    and (robot in human.predicted_path
+                         or nxt in human.predicted_path)):
                 leg = _redirect_target(g, mission, human.position,
                                        path.nodes)
                 if leg is not None:
                     outstanding = leg.nodes[-1]
                     human = HumanState(human.position, outstanding,
-                                       human.uncertainty, leg)
+                                       human.uncertainty, leg.nodes)
                     redirects += 1
                     settled = 0
                 redirect_tried = True
@@ -432,7 +427,7 @@ def load_sweep_config(source):
     if (not isinstance(levels, (list, tuple))
             or not all(_is_number(u) for u in levels)):
         raise ValueError("sweep config: 'levels' must be a list of numbers")
-    levels = tuple(float(u) for u in levels)
+    levels = tuple(levels)
     episodes = doc.get("episodes_per_level", DEFAULT_EPISODES_PER_LEVEL)
     workers = doc.get("workers", 1)
     if not _is_number(episodes, int) or not _is_number(workers, int):

@@ -178,8 +178,8 @@ def test_3_prism_cross_check(default_env, tmp_path):
 
 def test_4_conflict_and_replan_scenario(default_env):
     g = default_env
-    human = HumanState(15, 6, 0.0, shortest_distance_path(g, 15, 6))
-    predicted = human.predicted_path.nodes
+    human = HumanState(15, 6, 0.0, shortest_distance_path(g, 15, 6).nodes)
+    predicted = human.predicted_path
     assert predicted == (15, 11, 8, 4, 6)
 
     unheated, r_unheated = plan_validated_path(g, 25, 17)

@@ -8,7 +8,7 @@ from risknav import (HeatParams, HumanState, OutcomeProbs, apply_heat,
                      load_default_environment, predict_human_path,
                      step_human)
 from risknav.human import heated_probs
-from risknav.planner import Path, path_from_nodes, shortest_distance_path
+from risknav.planner import Path, shortest_distance_path
 
 from conftest import random_environment
 
@@ -22,16 +22,19 @@ def line_doc():
 
 class TestHumanState:
     def test_prediction_must_start_at_position(self):
-        g = environment_from_dict(line_doc())
-        path = path_from_nodes(g, (1, 2))
         with pytest.raises(ValueError, match="start at the"):
-            HumanState(0, 2, 0.0, path)
+            HumanState(0, 2, 0.0, (1, 2))
 
     def test_prediction_must_end_at_goal(self):
-        g = environment_from_dict(line_doc())
-        path = path_from_nodes(g, (1, 2))
         with pytest.raises(ValueError, match="end at the"):
-            HumanState(1, 3, 0.0, path)
+            HumanState(1, 3, 0.0, (1, 2))
+
+    def test_prediction_must_be_a_non_empty_tuple(self):
+        # a planner Path is refused like a list: a prediction is node ids
+        for nodes in (Path((1, 2), 1.0, 0.9), [1, 2], ()):
+            with pytest.raises(ValueError,
+                               match=r"predicted path .* non-empty tuple"):
+                HumanState(1, 2, 0.0, nodes)
 
     def test_uncertainty_range_enforced(self):
         # a bool is not an uncertainty, though Python counts it as an int
@@ -40,9 +43,8 @@ class TestHumanState:
                 HumanState(0, uncertainty=u)
 
     def test_goalless_prediction_allowed(self):
-        g = environment_from_dict(line_doc())
-        h = HumanState(2, None, 0.0, path_from_nodes(g, (2,)))
-        assert h.predicted_path.nodes == (2,)
+        h = HumanState(2, None, 0.0, (2,))
+        assert h.predicted_path == (2,)
 
 
 class TestHeatParams:
@@ -70,13 +72,13 @@ class TestHeatParams:
 class TestPredictHumanPath:
     def test_follows_shortest_distance(self, default_env):
         h = HumanState(15, goal=6)
-        assert predict_human_path(default_env, h).nodes == (15, 11, 8, 4, 6)
+        assert predict_human_path(default_env, h) == (15, 11, 8, 4, 6)
 
     def test_goalless_human_is_predicted_to_stay_put(self, default_env):
         for p in default_env.nodes:
             stay = predict_human_path(default_env, HumanState(p, None, 0.5))
-            assert stay == Path((p,), 0.0, 1.0)
-            assert stay == shortest_distance_path(default_env, p, p)
+            assert stay == (p,)
+            assert stay == shortest_distance_path(default_env, p, p).nodes
         with pytest.raises(ValueError, match="outside"):
             predict_human_path(default_env, HumanState(30))
 
@@ -90,7 +92,7 @@ class TestPredictHumanPath:
 class TestBuildHeatMap:
     def test_path_rule_heats_all_incident_edges(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(0, 2, 0.0, path_from_nodes(g, (0, 1, 2)))
+        h = HumanState(0, 2, 0.0, (0, 1, 2))
         params = HeatParams(path_heat=0.7, neighbor_heat=0.0)
         heat = build_heat_map(g, h, params)
         # nodes 0,1,2 touch edges 0-1, 1-2, 1-4 and 2-3
@@ -98,14 +100,14 @@ class TestBuildHeatMap:
 
     def test_neighbor_rule_scales_with_uncertainty(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(3, None, 0.5, path_from_nodes(g, (3,)))
+        h = HumanState(3, None, 0.5, (3,))
         params = HeatParams(path_heat=0.0, neighbor_heat=0.6)
         heat = build_heat_map(g, h, params)
         assert heat == {(2, 3): 0.3, (3, 4): 0.3}
 
     def test_overlap_takes_the_maximum(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(1, 2, 1.0, path_from_nodes(g, (1, 2)))
+        h = HumanState(1, 2, 1.0, (1, 2))
         strong = HeatParams(path_heat=0.9, neighbor_heat=0.4)
         heat = build_heat_map(g, h, strong)
         assert heat[(0, 1)] == 0.9
@@ -115,7 +117,7 @@ class TestBuildHeatMap:
 
     def test_zero_heat_produces_empty_map(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(1, 2, 0.0, path_from_nodes(g, (1, 2)))
+        h = HumanState(1, 2, 0.0, (1, 2))
         params = HeatParams(path_heat=0.0, neighbor_heat=0.0)
         assert build_heat_map(g, h, params) == {}
 
@@ -142,7 +144,8 @@ class TestHeatedProbs:
     def test_heat_of_one_rejected(self):
         with pytest.raises(ValueError, match="heat"):
             heated_probs(OutcomeProbs(0.9, 0.05, 0.05), 1.0)
-        for h in ("0.5", None):
+        # False and a float32 zero equal 0.0, but no heat skips the check
+        for h in ("0.5", None, False, np.float32(0.0)):
             with pytest.raises(ValueError, match="heat"):
                 heated_probs(OutcomeProbs(0.9, 0.05, 0.05), h)
 
@@ -207,14 +210,14 @@ class TestApplyHeat:
 class TestStepHuman:
     def test_certain_human_walks_the_prediction(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(0, 2, 0.0, path_from_nodes(g, (0, 1, 2)))
+        h = HumanState(0, 2, 0.0, (0, 1, 2))
         rng = np.random.default_rng(1)
         h = step_human(g, h, rng)
         assert h.position == 1
-        assert h.predicted_path.nodes == (1, 2)
+        assert h.predicted_path == (1, 2)
         h = step_human(g, h, rng)
         assert h.position == 2
-        assert h.predicted_path.nodes == (2,)
+        assert h.predicted_path == (2,)
 
     def test_follower_walks_the_tail_not_a_new_prediction(self):
         # from 9 the walk through node 2 is the shorter by rounding, but
@@ -223,30 +226,33 @@ class TestStepHuman:
         g = load_default_environment()
         h = HumanState(9, 0, 0.0)
         h = HumanState(9, 0, 0.0, predict_human_path(g, h))
-        assert h.predicted_path.nodes == (9, 10, 11, 8, 7, 3, 2, 0)
+        assert h.predicted_path == (9, 10, 11, 8, 7, 3, 2, 0)
         h = step_human(g, h, np.random.default_rng(0))
         assert h.position == 10
-        assert h.predicted_path.nodes == (10, 11, 8, 7, 3, 2, 0)
+        assert h.predicted_path == (10, 11, 8, 7, 3, 2, 0)
         assert shortest_distance_path(g, 10, 0).nodes \
             == (10, 11, 8, 7, 3, 1, 0)
 
-    def test_heated_overlay_keeps_its_own_probabilities(self):
-        # only a base graph memoizes the follow step, so an overlay's
-        # tail carries the heated success probability
+    def test_an_overlay_steps_a_human_exactly_as_its_base(self):
+        # a prediction is node ids only, so heat cannot change a state:
+        # the same draws give equal states whether the human follows or
+        # diverges, on a base graph that memoizes and an overlay that
+        # does not
         g = environment_from_dict(line_doc())
-        heated = apply_heat(g, {(1, 2): 0.5})
-        h = HumanState(0, 2, 0.0, path_from_nodes(g, (0, 1, 2)))
-        rng = np.random.default_rng(1)
-        assert step_human(g, h, rng).predicted_path \
-            == path_from_nodes(g, (1, 2))
-        assert step_human(heated, h, rng).predicted_path \
-            == path_from_nodes(heated, (1, 2))
-        assert (path_from_nodes(heated, (1, 2)).success_probability
-                < path_from_nodes(g, (1, 2)).success_probability)
+        heated = apply_heat(g, {(1, 2): 0.5, (1, 4): 0.3})
+        for u in (0.0, 0.5, 1.0):
+            for seed in range(8):
+                a = b = HumanState(0, 3, u, (0, 1, 2, 3))
+                ra = np.random.default_rng(seed)
+                rb = np.random.default_rng(seed)
+                for _ in range(6):
+                    a, b = step_human(g, a, ra), step_human(heated, b, rb)
+                    assert a == b
+                    assert ra.bit_generator.state == rb.bit_generator.state
 
     def test_arrived_human_stays_put(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(2, 2, 0.0, path_from_nodes(g, (2,)))
+        h = HumanState(2, 2, 0.0, (2,))
         assert step_human(g, h, np.random.default_rng(2)) == h
 
     def test_goalless_human_stays_put(self):
@@ -257,12 +263,11 @@ class TestStepHuman:
     def test_diverging_goalless_human_is_predicted_to_stay_put(self):
         g = environment_from_dict(line_doc())
         rng = np.random.default_rng(3)
-        h = HumanState(2, None, 1.0, Path((2,), 0.0, 1.0))
+        h = HumanState(2, None, 1.0, (2,))
         for _ in range(20):
             nxt = step_human(g, h, rng)
             assert g.edge(h.position, nxt.position) is not None
-            assert nxt == HumanState(nxt.position, None, 1.0,
-                                     Path((nxt.position,), 0.0, 1.0))
+            assert nxt == HumanState(nxt.position, None, 1.0, (nxt.position,))
             h = nxt
 
     def test_erratic_human_on_isolated_node_stays_put(self):
@@ -278,13 +283,13 @@ class TestStepHuman:
 
     def test_fully_erratic_human_moves_to_a_neighbor(self):
         g = environment_from_dict(line_doc())
-        h = HumanState(2, 4, 1.0, path_from_nodes(g, (2, 3, 4)))
+        h = HumanState(2, 4, 1.0, (2, 3, 4))
         rng = np.random.default_rng(4)
         for _ in range(20):
             nxt = step_human(g, h, rng)
             assert g.edge(h.position, nxt.position) is not None
-            assert nxt.predicted_path.nodes[0] == nxt.position
-            assert nxt.predicted_path.nodes[-1] == 4
+            assert nxt.predicted_path[0] == nxt.position
+            assert nxt.predicted_path[-1] == 4
             h = nxt
 
     def test_divergence_rate_tracks_uncertainty(self):
@@ -293,7 +298,7 @@ class TestStepHuman:
         diverged = 0
         trials = 4000
         for _ in range(trials):
-            h = HumanState(0, 2, 0.3, path_from_nodes(g, (0, 1, 2)))
+            h = HumanState(0, 2, 0.3, (0, 1, 2))
             if step_human(g, h, rng).position != 1:
                 diverged += 1
         # divergence picks a uniform neighbor, which may coincide with
@@ -307,7 +312,7 @@ class TestStepHuman:
         off_path = 0
         trials = 4000
         for _ in range(trials):
-            h = HumanState(1, 2, 0.3, path_from_nodes(g, (1, 2)))
+            h = HumanState(1, 2, 0.3, (1, 2))
             if step_human(g, h, rng).position != 2:
                 off_path += 1
         # diverged steps land on 0, 2 or 4 uniformly: expect 0.3 * 2/3
@@ -321,7 +326,7 @@ class TestStepHuman:
             goal = int(rng.integers(g.node_count))
             pos = int(rng.integers(g.node_count))
             h = HumanState(pos, goal, 0.8,
-                           shortest_distance_path(g, pos, goal))
+                           shortest_distance_path(g, pos, goal).nodes)
             for _ in range(10):
                 h = step_human(g, h, rng)
                 g.check_node(h.position)

@@ -2,17 +2,18 @@
 
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from risknav import (EpisodeConfig, HeatedGraph, HeatParams, HumanState,
-                     apply_heat, build_heat_map, env, environment_from_dict,
-                     human, load_default_environment, load_default_mission,
-                     max_success_path, mission_from_dict, order_tasks,
-                     predict_human_path, run_episode, run_sweep,
-                     shortest_distance_path, sim, step_human, summarize)
-from risknav.planner import Path
+from risknav import (EpisodeConfig, EpisodeOutcome, HeatedGraph, HeatParams,
+                     HumanState, apply_heat, build_heat_map, env,
+                     environment_from_dict, human, load_default_environment,
+                     load_default_mission, max_success_path,
+                     mission_from_dict, order_tasks, predict_human_path,
+                     run_episode, run_sweep, shortest_distance_path, sim,
+                     step_human, summarize)
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
 
@@ -186,6 +187,22 @@ class TestRunEpisode:
         assert out.steps == blocked_mission().hold_limit
         assert out.redirects == 0
 
+    def test_effective_success_at_the_threshold_moves(self):
+        # README: the robot moves while the effective success is "at
+        # least" the threshold.  A row with no failure mass has effective
+        # success exactly 1.0, heated or not, so the robot never holds
+        g = environment_from_dict({
+            "nodes": 3, "risk_table": {"Low": [1.0, 0.0]},
+            "edges": [[0, 1, 1.0, "Low"], [1, 2, 1.0, "Low"]]})
+        mission = mission_from_dict({"start": 0, "tasks": [], "end": 2,
+                                     "safe_locations": [],
+                                     "threshold": 1.0}, g)
+        for seed in range(5):
+            cfg = EpisodeConfig(g, mission, HeatParams(0.0, 0.0), 0.5, seed)
+            assert run_episode(cfg) == EpisodeOutcome(True, None, 2, 0, 2)
+            out = run_episode(replace(cfg, heat=HeatParams(0.5, 0.5)))
+            assert (out.success, out.redirects) == (True, 0)
+
     def test_redirected_human_goes_to_a_safe_location(self, default_env,
                                                       default_mission):
         # outcome-level proxy: redirects only ever target safe
@@ -259,13 +276,21 @@ class TestGraphMemo:
         misses = {"step": [], "heat": [], "follow": [], "diverge": []}
         for name, mod, attr in (("step", sim, "max_success_path"),
                                 ("heat", sim, "build_heat_map"),
-                                ("follow", human, "path_from_nodes"),
                                 ("diverge", human, "predict_human_path")):
             def counted(*args, _real=getattr(mod, attr), _log=misses[name],
                         **kwargs):
                 _log.append(None)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(mod, attr, counted)
+
+        # a follow miss computes nothing but the tail, so it is counted
+        # where step_human stores it
+        def remembered(table, key, value, _real=human._remember,
+                       _follow=g.memo("follow")):
+            if table is _follow:
+                misses["follow"].append(None)
+            return _real(table, key, value)
+        monkeypatch.setattr(human, "_remember", remembered)
         used, most = [], 0
         for u, seed in configs:
             before = len(misses["step"])
@@ -334,7 +359,7 @@ class TestGraphMemo:
             assert used._memo["heat"]
             for key, heat_tuple in used._memo["heat"].items():
                 nodes, u, params = key
-                h = HumanState(nodes[0], None, u, Path(nodes, 0.0, 1.0))
+                h = HumanState(nodes[0], None, u, nodes)
                 assert heat_tuple == tuple(sorted(build_heat_map(
                     used, h, HeatParams(*params)).items()))
 
@@ -367,7 +392,7 @@ class TestGraphMemo:
         assert seen
         for h in seen:
             assert h.predicted_path is not None
-            assert h.predicted_path.nodes[0] == h.position
+            assert h.predicted_path[0] == h.position
 
     def test_an_empty_overlay_runs_the_episodes_of_its_base(self,
                                                              monkeypatch):
@@ -514,6 +539,17 @@ class TestRunSweep:
         floats = run_sweep(base, [0.0, 1.0], 40, workers=workers)
         assert ints == floats
         assert summarize(ints) == summarize(floats)
+
+    def test_integer_levels_of_a_config_document_run_as_their_floats(self):
+        # the loader passes levels on as given; an int runs as its float
+        reports = []
+        for levels in ([0, 1], [0.0, 1.0]):
+            cfg = load_sweep_config({"levels": levels, "seed": 4,
+                                     "episodes_per_level": 40})
+            reports.append(run_sweep(cfg.base, cfg.levels,
+                                     cfg.episodes_per_level))
+        assert reports[0] == reports[1]
+        assert summarize(reports[0]) == summarize(reports[1])
 
     def test_empty_levels_rejected(self, default_env, default_mission):
         base = EpisodeConfig(default_env, default_mission, HeatParams(),

@@ -162,10 +162,11 @@ class TestPlanValidatedPath:
 
     def test_heated_replan_avoids_the_conflict(self, default_env):
         g = default_env
-        human = HumanState(15, 6, 0.0, shortest_distance_path(g, 15, 6))
+        human = HumanState(15, 6, 0.0,
+                           shortest_distance_path(g, 15, 6).nodes)
         heated = apply_heat(g, build_heat_map(g, human, HeatParams()))
         path, r = plan_validated_path(g, 25, 17, heated=heated)
-        assert set(path.nodes).isdisjoint(human.predicted_path.nodes)
+        assert set(path.nodes).isdisjoint(human.predicted_path)
         assert r >= 0.9
 
     def test_returned_probability_matches_selection(self):
