@@ -149,9 +149,10 @@ def step_human(g, h, rng):
     """Advance the human one tick; returns the new state.
 
     With probability (1 - uncertainty) the human follows its predicted
-    path (staying put when there is none or it has arrived); otherwise it
-    moves to a uniformly random neighbour, staying put on a node with none,
-    and predict_human_path re-predicts it toward the unchanged goal.
+    path (staying put when there is none or it has arrived; a hop that is
+    not an edge raises ValueError); otherwise it moves to a uniformly
+    random neighbour, staying put on a node with none, and
+    predict_human_path re-predicts it toward the unchanged goal.
     rng is anything with random() and integers(n), such as a numpy
     Generator.
     """
@@ -164,6 +165,8 @@ def step_human(g, h, rng):
         key = (path, h.goal, h.uncertainty)
         nxt = memo.get(key)
         if nxt is None:
+            if g.edge(path[0], path[1]) is None:
+                raise ValueError(f"no edge {path[0]}-{path[1]} to follow")
             nxt = _remember(memo, key, HumanState(
                 path[1], h.goal, h.uncertainty, path[1:]))
         return nxt

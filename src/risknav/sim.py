@@ -146,13 +146,13 @@ def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
     What a tick derives is memoized in g.memo, which a base graph shares
-    with every episode it runs: the human's sorted heat map per (predicted
-    nodes, which start at its position, uncertainty, heat parameters), and
-    the step (the max-success path on the heated map, the heated outcome
-    row of its first edge and that row's effective success) per robot,
-    objective and heat map.  The robot moves only while that effective
-    success is at least the mission threshold.  The human has no goal
-    (so it is predicted to stay put) until a redirect; step_human moves it.
+    with every episode it runs: the human's heat map (a frozenset of its
+    items) per (predicted nodes, which start at its position, uncertainty,
+    heat parameters), and the step (the max-success path on the heated
+    map, the heated outcome row of its first edge and that row's effective
+    success) per robot, objective and heat map.  The robot moves only while
+    that effective success is at least the mission threshold.  Only a
+    redirect gives the human a goal, a safe spot; step_human keeps it.
     Draws come from _Draws(cfg.seed), which gives what
     np.random.default_rng(cfg.seed) would; the episode and step_human
     call only its random() and integers(n).
@@ -174,29 +174,29 @@ def run_episode(cfg):
     step_memo = g.memo("step")
     heat_params = (cfg.heat.path_heat, cfg.heat.neighbor_heat)
     idx = 0
-    while idx < len(route) and robot == route[idx]:
-        idx += 1
-
     steps = 0
     redirects = 0
     holds = 0
     redirect_tried = False
-    outstanding = None
     settled = 0
 
-    while idx < len(route):
+    while True:
+        while idx < len(route) and robot == route[idx]:
+            idx += 1
+        if idx == len(route):
+            return EpisodeOutcome(True, None, steps, redirects, robot)
         if steps >= _TICK_GUARD:
             raise RuntimeError("episode exceeded the tick guard")
         steps += 1
 
         human = step_human(g, human, rng)
-        if outstanding is not None:
-            settled = settled + 1 if human.position == outstanding else 0
+        # ticks at the goal a redirect gave; 0 while the human has none
+        settled = settled + 1 if human.position == human.goal else 0
         hkey = (human.predicted_path, human.uncertainty, heat_params)
         heat = heat_memo.get(hkey)
         if heat is None:
-            heat = _remember(heat_memo, hkey, tuple(sorted(
-                build_heat_map(g, human, cfg.heat).items())))
+            heat = _remember(heat_memo, hkey, frozenset(
+                build_heat_map(g, human, cfg.heat).items()))
 
         target = route[idx]
         key = (robot, target, heat)
@@ -215,22 +215,20 @@ def run_episode(cfg):
 
         if eff < mission.threshold:
             holds += 1
-            # A single hold tick is often a human passing through; only a
-            # blockage that survives into a second consecutive tick earns a
-            # redirect request.  A human with an unmet earlier request is
-            # not asked again until it has settled at the assigned spot.
+            # A hold tick is often a human passing through, so only a second
+            # consecutive one earns a request, once until the robot moves; a
+            # human already sent to a safe spot is asked again only after it
+            # has stood there for two consecutive ticks.
             if (holds >= REDIRECT_PATIENCE and not redirect_tried
-                    and (outstanding is None or settled >= 2)
+                    and (human.goal is None or settled >= 2)
                     and (robot in human.predicted_path
                          or nxt in human.predicted_path)):
                 leg = _redirect_target(g, mission, human.position,
                                        path.nodes)
                 if leg is not None:
-                    outstanding = leg.nodes[-1]
-                    human = HumanState(human.position, outstanding,
+                    human = HumanState(human.position, leg.nodes[-1],
                                        human.uncertainty, leg.nodes)
                     redirects += 1
-                    settled = 0
                 redirect_tried = True
             if holds >= mission.hold_limit:
                 return EpisodeOutcome(False, HOLD_TIMEOUT, steps,
@@ -244,13 +242,9 @@ def run_episode(cfg):
             holds = 0
             redirect_tried = False
             robot = nxt
-            while idx < len(route) and robot == route[idx]:
-                idx += 1
         elif draw >= probs.p_success + probs.p_retry:
             return EpisodeOutcome(False, CATASTROPHIC, steps, redirects,
                                   robot)
-
-    return EpisodeOutcome(True, None, steps, redirects, robot)
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,14 @@ class TestStepHuman:
                     assert a == b
                     assert ra.bit_generator.state == rb.bit_generator.state
 
+    def test_a_predicted_hop_that_is_not_an_edge_is_refused(self):
+        # the bundled map has no edge 0-5, so the human cannot follow it
+        g = load_default_environment()
+        assert g.edge(0, 5) is None
+        with pytest.raises(ValueError, match="no edge 0-5"):
+            step_human(g, HumanState(0, 5, 0.0, (0, 5)),
+                       np.random.default_rng(0))
+
     def test_arrived_human_stays_put(self):
         g = environment_from_dict(line_doc())
         h = HumanState(2, 2, 0.0, (2,))
@@ -320,13 +328,20 @@ class TestStepHuman:
         assert abs(rate - 0.2) < 0.02
 
     def test_random_graph_stepping_never_leaves_the_graph(self):
+        # a step moves along an edge or stays, and never changes the goal:
+        # the episode relies on a human keeping the goal a redirect gave it
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = random_environment(rng, max_nodes=6)
             goal = int(rng.integers(g.node_count))
             pos = int(rng.integers(g.node_count))
-            h = HumanState(pos, goal, 0.8,
-                           shortest_distance_path(g, pos, goal).nodes)
-            for _ in range(10):
-                h = step_human(g, h, rng)
-                g.check_node(h.position)
+            for aim, nodes in ((goal, shortest_distance_path(g, pos,
+                                                             goal).nodes),
+                               (None, (pos,))):
+                h = HumanState(pos, aim, 0.8, nodes)
+                for _ in range(10):
+                    nxt = step_human(g, h, rng)
+                    assert (nxt.position == h.position
+                            or g.edge(h.position, nxt.position) is not None)
+                    assert nxt.goal == aim
+                    h = nxt

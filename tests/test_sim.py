@@ -187,6 +187,34 @@ class TestRunEpisode:
         assert out.steps == blocked_mission().hold_limit
         assert out.redirects == 0
 
+    def test_a_move_allows_a_new_redirect_request(self):
+        # line 0-1-2-3: seed 1 parks the human on the task 1; it is sent
+        # to 2, the robot moves to 1, and the human at 2 now blocks the
+        # way to the end.  Only because the move cleared redirect_tried
+        # is it asked again (to 3); without that the hold runs out
+        g = environment_from_dict({
+            "nodes": 4, "edges": [[0, 1, 1.0, "Medium"], [1, 2, 1.0, "Medium"],
+                                  [2, 3, 1.0, "Low"]]})
+        mission = mission_from_dict({"start": 0, "tasks": [1], "end": 2,
+                                     "safe_locations": [3, 2],
+                                     "threshold": 0.9, "hold_limit": 10}, g)
+        cfg = EpisodeConfig(g, mission, HeatParams(), 0.0, 1)
+        assert run_episode(cfg) == EpisodeOutcome(True, None, 6, 2, 2)
+
+    def test_a_second_request_waits_two_settled_ticks(self):
+        # star around 0: the human starts on the robot's start 3 and is
+        # sent to 2, which at u = 0.2 it leaves and regains; the second
+        # request (to 3) goes out only once it has stood at 2 for two
+        # consecutive ticks (asking after one ends the episode in 8 steps)
+        g = environment_from_dict({
+            "nodes": 4, "edges": [[0, 1, 1.0, "Low"], [0, 2, 1.0, "High"],
+                                  [0, 3, 1.0, "High"]]})
+        mission = mission_from_dict({"start": 3, "tasks": [0], "end": 2,
+                                     "safe_locations": [3, 2],
+                                     "threshold": 0.9, "hold_limit": 10}, g)
+        cfg = EpisodeConfig(g, mission, HeatParams(), 0.2, 7)
+        assert run_episode(cfg) == EpisodeOutcome(True, None, 9, 2, 2)
+
     def test_effective_success_at_the_threshold_moves(self):
         # README: the robot moves while the effective success is "at
         # least" the threshold.  A row with no failure mass has effective
@@ -357,11 +385,11 @@ class TestGraphMemo:
                     assert ra.bit_generator.state == rb.bit_generator.state
 
             assert used._memo["heat"]
-            for key, heat_tuple in used._memo["heat"].items():
+            for key, heat in used._memo["heat"].items():
                 nodes, u, params = key
                 h = HumanState(nodes[0], None, u, nodes)
-                assert heat_tuple == tuple(sorted(build_heat_map(
-                    used, h, HeatParams(*params)).items()))
+                assert heat == frozenset(build_heat_map(
+                    used, h, HeatParams(*params)).items())
 
     def test_every_stepped_human_has_a_prediction_at_its_position(
             self, monkeypatch):

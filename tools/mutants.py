@@ -28,8 +28,8 @@ SIM = "src/risknav/sim.py"
 # (name, file, old text, new text); each changes one line of the tick
 MUTANTS = (
     ("settled >= 1", SIM,
-     "(outstanding is None or settled >= 2)",
-     "(outstanding is None or settled >= 1)"),
+     "(human.goal is None or settled >= 2)",
+     "(human.goal is None or settled >= 1)"),
     ("threshold <=", SIM,
      "if eff < mission.threshold:",
      "if eff <= mission.threshold:"),
