@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from risknav import (HeatParams, HumanState, apply_heat, build_chain,
                      build_heat_map, evaluate_chain,
-                     load_default_environment, plan_validated_path,
+                     load_default_environment, max_success_path,
                      predict_human_path)
 
 ROBOT_START, ROBOT_GOAL = 25, 17
@@ -21,10 +21,10 @@ HUMAN_POS, HUMAN_GOAL = 15, 6
 THRESHOLD = 0.9
 
 
-def show(tag, path, r):
+def show(tag, path):
     route = " -> ".join(str(n) for n in path.nodes)
     print(f"  {tag:<10} {route}  (distance {path.total_distance:.2f}m, "
-          f"validated r = {r:.4f})")
+          f"validated r = {path.success_probability:.4f})")
 
 
 def main():
@@ -35,9 +35,9 @@ def main():
     print(f"human at {HUMAN_POS} heading to {HUMAN_GOAL}, predicted "
           f"walk: {' -> '.join(str(n) for n in human.predicted_path)}")
 
-    original, r_original = plan_validated_path(g, ROBOT_START, ROBOT_GOAL)
+    original = max_success_path(g, ROBOT_START, ROBOT_GOAL)
     print(f"\nrobot plan {ROBOT_START} -> {ROBOT_GOAL} ignoring the human:")
-    show("original", original, r_original)
+    show("original", original)
 
     heat = build_heat_map(g, human, HeatParams())
     print(f"\nheat map covers {len(heat)} edges:")
@@ -50,10 +50,9 @@ def main():
     print(f"\nsame route re-validated under heat: r = {r_heated:.4f} "
           f"-> {verdict} (threshold {THRESHOLD})")
 
-    replanned, r_replanned = plan_validated_path(
-        g, ROBOT_START, ROBOT_GOAL, heated=heated)
+    replanned = max_success_path(heated, ROBOT_START, ROBOT_GOAL)
     print("\ndetour chosen against the heated map:")
-    show("replanned", replanned, r_replanned)
+    show("replanned", replanned)
     shared = set(replanned.nodes) & set(human.predicted_path)
     print(f"  nodes shared with the human's walk: {sorted(shared) or 'none'}")
 

@@ -19,11 +19,10 @@ from .env import _environment_or_default, _mission_or_default
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     predict_human_path)
 from .planner import (UnreachableNodeError, check_reachable,
-                      shortest_distance_path)
+                      max_success_path, shortest_distance_path)
 from .sim import (EpisodeConfig, load_sweep_config, read_sweep_config,
                   run_episode, run_sweep, summarize)
-from .verify import (build_chain, evaluate_chain, export_prism,
-                     plan_validated_path)
+from .verify import build_chain, evaluate_chain, export_prism
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -97,7 +96,7 @@ def cmd_plan(args):
         print(f"human predicted: {_fmt_nodes(human.predicted_path)}")
         query = apply_heat(g, build_heat_map(g, human, HeatParams()))
 
-    picked, r_prob = plan_validated_path(query, start, goal)
+    picked = max_success_path(query, start, goal)
     if picked is None:
         raise UnreachableNodeError(f"no path from {start} to {goal}")
     # the distance path is planned for the comparison line only; like the
@@ -108,7 +107,8 @@ def cmd_plan(args):
           f"(distance {dist_path.total_distance:.2f}, "
           f"r_dist {dist_path.success_probability:.6f})")
     print(f"probability path: {_fmt_nodes(picked.nodes)}  "
-          f"(distance {picked.total_distance:.2f}, r_prob {r_prob:.6f})")
+          f"(distance {picked.total_distance:.2f}, "
+          f"r_prob {picked.success_probability:.6f})")
     print(f"selected:         {_fmt_nodes(picked.nodes)}")
     return EXIT_OK
 

@@ -205,9 +205,10 @@ class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
     Takes its topology (node_count, nodes, check_node, neighbors, edge and
-    the adjacency) from the base graph; only probability queries differ.
-    Planner and validator code accepts either graph type.  An overlay
-    shares no memo: its probabilities are not its base's.
+    the adjacency) from the base graph and keeps only the heated rows;
+    effective() reads a heated edge's value off its row.  Planner and
+    validator code accepts either graph type.  An overlay shares no memo:
+    its probabilities are not its base's.
     """
 
     def __init__(self, base, overrides):
@@ -219,8 +220,6 @@ class HeatedGraph:
         self.neighbors = base.neighbors
         self.edge = base.edge
         self.overrides = dict(overrides)
-        self._eff = {key: effective_success(p)
-                     for key, p in self.overrides.items()}
 
     def memo(self, table):
         """A fresh table each call, so nothing derived here is kept."""
@@ -231,8 +230,9 @@ class HeatedGraph:
         return hit if hit is not None else self.base.probs(edge)
 
     def effective(self, edge):
-        hit = self._eff.get(edge.key())
-        return hit if hit is not None else self.base.effective(edge)
+        hit = self.overrides.get(edge.key())
+        return (effective_success(hit) if hit is not None
+                else self.base.effective(edge))
 
 
 @dataclass(frozen=True)

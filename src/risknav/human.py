@@ -103,23 +103,11 @@ def build_heat_map(g, h, params):
     return heat
 
 
-def heated_probs(p, h):
-    """Outcome row of p under a heat h in [0, 1): success scales by
-    (1 - h), the removed mass becomes retry, p_fail is untouched."""
-    if not (_is_number(h) and 0.0 <= h < 1.0):
-        raise ValueError(f"heat {h!r} outside [0, 1)")
-    if h == 0.0:
-        return p
-    scaled = p.p_success * (1.0 - h)
-    moved = p.p_success - scaled
-    return OutcomeProbs(scaled, p.p_retry + moved, p.p_fail)
-
-
 def apply_heat(g, heat_map):
-    """Heat overlay of g: success mass scales by (1 - heat) per edge.
+    """Heat overlay of g: an edge's success mass scales by (1 - heat).
 
-    The removed mass moves to retry; p_fail is untouched, so heat models
-    temporary blockage rather than added danger on a single attempt.
+    The removed mass becomes retry and p_fail is untouched, so heat models
+    temporary blockage, not added danger; a zero heat leaves a row as is.
     Each key must name an edge and each heat be a number in [0, 1), on a
     memo hit too; the heated row of each (risk class, heat) is memoized.
     """
@@ -139,8 +127,10 @@ def apply_heat(g, heat_map):
             continue
         row = memo.get((edge.risk, h))
         if row is None:
-            row = _remember(memo, (edge.risk, h),
-                            heated_probs(g.probs(edge), h))
+            p = g.probs(edge)
+            scaled = p.p_success * (1.0 - h)
+            row = _remember(memo, (edge.risk, h), OutcomeProbs(
+                scaled, p.p_retry + (p.p_success - scaled), p.p_fail))
         overrides[edge.key()] = row
     return HeatedGraph(g, overrides)
 

@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 from risknav import (EpisodeConfig, HeatParams, HumanState, apply_heat,
-                     build_chain, build_heat_map, evaluate_chain,
-                     export_prism, max_success_path, plan_validated_path,
-                     run_episode, run_sweep, shortest_distance_path,
-                     summarize)
+                     build_chain, build_heat_map, effective_success,
+                     evaluate_chain, export_prism, max_success_path,
+                     plan_validated_path, run_episode, run_sweep,
+                     shortest_distance_path, summarize)
 from risknav.sim import DEFAULT_LEVELS, derive_seed
 
 from conftest import (oracle_max_success, oracle_shortest, path_stats,
@@ -249,20 +249,32 @@ def test_6_sweep_determinism(full_sweep, default_env, default_mission):
 
 def test_7a_heat_preserves_the_probability_simplex():
     rng = np.random.default_rng(701)
+    # the second layer draws apart, so the first layers stay as they were
+    layer_rng = np.random.default_rng(7011)
     for _ in range(1000):
         g = random_environment(rng, max_nodes=6)
         heat = {key: float(rng.uniform(0.0, 0.999))
                 for key in g.edges if rng.random() < 0.5}
         hot = apply_heat(g, heat)
-        for key in heat:
-            base = g.probs(g.edges[key])
-            now = hot.probs(g.edges[key])
-            assert abs(now.p_success + now.p_retry + now.p_fail - 1.0) \
-                <= 1e-12
-            assert now.p_fail == base.p_fail
-            assert 0.0 < now.p_success <= base.p_success
-    print("\ncriterion 7a: PASS (simplex preserved under heat, "
-          "1000 cases)")
+        again = {key: float(layer_rng.uniform(0.0, 0.999))
+                 for key in g.edges if layer_rng.random() < 0.5}
+        # an overlay keeps only rows, so its effective success must be
+        # the one its row gives, and an unheated edge its base's
+        for below, over, layer in ((g, hot, heat),
+                                   (hot, apply_heat(hot, again), again)):
+            for key, edge in g.edges.items():
+                now = over.probs(edge)
+                assert over.effective(edge) == effective_success(now)
+                if not layer.get(key):
+                    assert over.effective(edge) == below.effective(edge)
+                    continue
+                base = below.probs(edge)
+                assert abs(now.p_success + now.p_retry + now.p_fail - 1.0) \
+                    <= 1e-12
+                assert now.p_fail == base.p_fail
+                assert 0.0 < now.p_success <= base.p_success
+    print("\ncriterion 7a: PASS (simplex preserved and effective success "
+          "read off the rows under one and two heat layers, 1000 cases)")
 
 
 def test_7b_heat_monotonicity_of_chain_validation():

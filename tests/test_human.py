@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from risknav import (HeatParams, HumanState, OutcomeProbs, apply_heat,
-                     build_heat_map, environment_from_dict,
-                     load_default_environment, predict_human_path,
-                     step_human)
-from risknav.human import heated_probs
+from risknav import (Edge, EnvironmentGraph, HeatParams, HumanState,
+                     OutcomeProbs, apply_heat, build_heat_map,
+                     environment_from_dict, load_default_environment,
+                     predict_human_path, step_human)
 from risknav.planner import Path, shortest_distance_path
 
 from conftest import random_environment
@@ -131,23 +130,17 @@ class TestBuildHeatMap:
 class TestHeatedProbs:
     def test_success_mass_moves_to_retry(self):
         p = OutcomeProbs(0.9, 0.05, 0.05)
-        q = heated_probs(p, 0.4)
+        g = EnvironmentGraph(2, {"Low": p}, [Edge(0, 1, 1.0, "Low")])
+        q = apply_heat(g, {(0, 1): 0.4}).probs(g.edge(0, 1))
         assert q.p_success == pytest.approx(0.54)
         assert q.p_retry == pytest.approx(0.05 + 0.36)
         assert q.p_fail == p.p_fail
         assert q.p_success + q.p_retry + q.p_fail == pytest.approx(1.0)
 
-    def test_zero_heat_returns_the_same_object(self):
-        p = OutcomeProbs(0.9, 0.05, 0.05)
-        assert heated_probs(p, 0.0) is p
-
     def test_heat_of_one_rejected(self):
-        with pytest.raises(ValueError, match="heat"):
-            heated_probs(OutcomeProbs(0.9, 0.05, 0.05), 1.0)
-        # False and a float32 zero equal 0.0, but no heat skips the check
-        for h in ("0.5", None, False, np.float32(0.0)):
-            with pytest.raises(ValueError, match="heat"):
-                heated_probs(OutcomeProbs(0.9, 0.05, 0.05), h)
+        g = environment_from_dict(line_doc())
+        with pytest.raises(ValueError, match="heat 1.0 outside"):
+            apply_heat(g, {(1, 2): 1.0})
 
 
 class TestApplyHeat:
@@ -166,8 +159,10 @@ class TestApplyHeat:
         g = environment_from_dict(line_doc())
         once = apply_heat(g, {(1, 2): 0.5})
         twice = apply_heat(once, {(1, 2): 0.5})
-        assert twice.probs(g.edge(1, 2)) \
-            == heated_probs(once.probs(g.edge(1, 2)), 0.5)
+        p = once.probs(g.edge(1, 2))
+        scaled = p.p_success * (1.0 - 0.5)
+        assert twice.probs(g.edge(1, 2)) == OutcomeProbs(
+            scaled, p.p_retry + (p.p_success - scaled), p.p_fail)
         assert twice.probs(g.edge(1, 2)).p_success \
             == pytest.approx(0.99 * 0.25)
 
@@ -205,6 +200,10 @@ class TestApplyHeat:
                 apply_heat(g, {(1, 2): np.float32(0.5)})
         with pytest.raises(ValueError, match=r"heat \[0.5\] outside"):
             apply_heat(g, {(1, 2): [0.5]})
+        # False and a float32 zero equal 0.0, but no heat skips the check
+        for h in ("0.5", None, False, np.float32(0.0)):
+            with pytest.raises(ValueError, match="heat .* outside"):
+                apply_heat(g, {(1, 2): h})
 
 
 class TestStepHuman:

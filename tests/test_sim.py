@@ -215,6 +215,20 @@ class TestRunEpisode:
         cfg = EpisodeConfig(g, mission, HeatParams(), 0.2, 7)
         assert run_episode(cfg) == EpisodeOutcome(True, None, 9, 2, 2)
 
+    def test_holds_survive_a_retry_tick(self):
+        # line 0-1-2 with no safe spot: at seed 1 the robot holds, draws a
+        # retry on the Severe edge, then holds again, and the second hold
+        # runs out hold_limit 2 only because the retry kept the count
+        # (clearing it on a retry ends the episode one step later)
+        g = environment_from_dict({
+            "nodes": 3, "edges": [[0, 1, 1.0, "Severe"], [1, 2, 1.0, "Low"]]})
+        mission = mission_from_dict({"start": 0, "tasks": [], "end": 2,
+                                     "safe_locations": [],
+                                     "threshold": 0.9, "hold_limit": 2}, g)
+        cfg = EpisodeConfig(g, mission, HeatParams(), 0.5, 1)
+        assert run_episode(cfg) == EpisodeOutcome(False, "hold_timeout", 3,
+                                                  0, 0)
+
     def test_effective_success_at_the_threshold_moves(self):
         # README: the robot moves while the effective success is "at
         # least" the threshold.  A row with no failure mass has effective
