@@ -81,10 +81,15 @@ class Edge:
         return (self.a, self.b)
 
 
+def _full(table):
+    """Whether a per-tick memo table must be emptied before it grows."""
+    return len(table) > _STEP_MEMO_LIMIT
+
+
 def _remember(table, key, value):
     """Store value under key in a per-tick memo table and return it; the
-    table is emptied first once it holds more than _STEP_MEMO_LIMIT."""
-    if len(table) > _STEP_MEMO_LIMIT:
+    table is emptied first once it is _full."""
+    if _full(table):
         table.clear()
     table[key] = value
     return value

@@ -3,19 +3,24 @@
 The robot models the human as walking the shortest-distance path toward a
 goal, deviating to a uniformly random neighbour with probability equal to
 its uncertainty; without a goal it is predicted to stay where it is.
-predict_human_path makes every prediction, a tuple of node ids, so
-step_human alone is the human's transition rule.  Predicted presence is
-projected onto the graph as edge "heat"; heat scales success mass down
-(blocked attempts become retries, never catastrophes).  A step's outcome is
-a pure function of the state (following) or of its goal, uncertainty and
-new position (diverging), so step_human memoizes both on the base graph.
+predict_human_path makes every prediction, a tuple of node ids, so the
+human's transition rule is one draw rule over pure successors: the follow
+successor of a state, and its divergence successor toward each neighbour.
+Predicted presence is projected onto the graph as edge "heat"; heat scales
+success mass down (blocked attempts become retries, never catastrophes).
+
+A graph's memo holds one table of human states per set of heat parameters:
+each state reached gets an int id, and its row keeps its successors' ids
+and its heat map, filled when first needed.  step_human is an intern into
+that table plus one step of it; an episode carries the id from tick to
+tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import HeatedGraph, OutcomeProbs, _is_number, _remember
+from .env import HeatedGraph, OutcomeProbs, _full, _is_number, _remember
 from .planner import shortest_distance_path
 
 
@@ -135,6 +140,135 @@ def apply_heat(g, heat_map):
     return HeatedGraph(g, overrides)
 
 
+class _Heat:
+    """One heat map of a human table.
+
+    items is the frozenset of its (edge key, heat) pairs, which keys a
+    step; map is the map itself.  Its heated rows are kept from the first
+    overlay on, but never an overlay, which would refer to the graph.
+    """
+
+    __slots__ = ("items", "map", "_rows", "_lowers")
+
+    def __init__(self, heat_map):
+        self.items = frozenset(heat_map.items())
+        self.map = heat_map
+        self._rows = None
+        self._lowers = None
+
+    def overlay(self, g):
+        """apply_heat(g, map), with the rows of the first call."""
+        if self._rows is None:
+            self._rows = apply_heat(g, self.map).overrides
+        return HeatedGraph(g, self._rows)
+
+    def lowers(self, g):
+        """Whether no heated edge's effective success is higher on the
+        map's overlay of g than on g; found on the first call."""
+        if self._lowers is None:
+            hot = self.overlay(g)
+            edges = [g.edge(*key) for key in self.map]
+            self._lowers = all(hot.effective(e) <= g.effective(e)
+                               for e in edges)
+        return self._lowers
+
+
+class _HumanTable:
+    """Every human state reached on one graph, each under an int id.
+
+    Row i of rows is [state i, the id of its follow successor, the ids of
+    its divergence successors by neighbour index, its _Heat under params],
+    each filled when first needed; states with equal heat maps share one
+    _Heat.  Past _STEP_MEMO_LIMIT rows, the ids, rows and heats are
+    dropped together, since rows hold ids; only the id that the latest
+    intern or step returned stays valid, so a caller keeps that one.  The
+    graph's memo holds the table, and the table never refers to the
+    graph: each call that reads it takes g.
+    """
+
+    __slots__ = ("params", "ids", "rows", "heats")
+
+    def __init__(self, params):
+        self.params = params
+        self.ids = {}
+        self.rows = []
+        self.heats = {}
+
+    def intern(self, h):
+        """The id of state h, given a new row if h is new."""
+        hid = self.ids.get(h)
+        if hid is None:
+            if _full(self.rows):
+                self.ids.clear()
+                self.rows.clear()
+                self.heats.clear()
+            hid = self.ids[h] = len(self.rows)
+            self.rows.append([h, None, None, None])
+        return hid
+
+    def step(self, g, hid, rng):
+        """The id of the human one tick after state hid.
+
+        The draw rule: random() only when the uncertainty u is positive,
+        and with probability u the human diverges, drawing integers(deg)
+        only on a node with neighbours; otherwise it follows.
+        """
+        row = self.rows[hid]
+        h = row[0]
+        u = h.uncertainty
+        if u > 0.0 and rng.random() < u:
+            out = row[2]
+            if out is None:
+                out = row[2] = [None] * len(g.neighbors(h.position))
+            if not out:
+                return hid
+            k = rng.integers(len(out))
+            nxt = out[k]
+            if nxt is None:
+                nbr = g.neighbors(h.position)[k][0]
+                nxt = out[k] = self.intern(_predicted(g, nbr, h.goal, u))
+            return nxt
+        nxt = row[1]
+        if nxt is None:
+            nxt = row[1] = self.intern(_follow(g, h))
+        return nxt
+
+    def heat(self, g, hid):
+        """The _Heat of state hid under params."""
+        row = self.rows[hid]
+        if row[3] is None:
+            heat = _Heat(build_heat_map(g, row[0], self.params))
+            row[3] = self.heats.setdefault(heat.items, heat)
+        return row[3]
+
+
+def _human_table(g, params):
+    """g's table of human states whose heat is taken under params; on a
+    heat overlay, whose memo keeps nothing, a new table on each call."""
+    tables = g.memo("human")
+    table = tables.get(params)
+    if table is None:
+        table = _remember(tables, params, _HumanTable(params))
+    return table
+
+
+def _predicted(g, pos, goal, u):
+    """The human at pos with that goal and uncertainty, predicted anew."""
+    return HumanState(pos, goal, u,
+                      predict_human_path(g, HumanState(pos, goal, u)))
+
+
+def _follow(g, h):
+    """h one step along its prediction, or h itself when it has none or
+    has arrived; a hop that is not an edge raises ValueError."""
+    path = h.predicted_path
+    if path is None or len(path) < 2:
+        return h
+    if g.edge(path[0], path[1]) is None:
+        raise ValueError(f"no edge {path[0]}-{path[1]} to follow")
+    return HumanState(path[1], h.goal, h.uncertainty, path[1:])
+
+
 def step_human(g, h, rng):
     """Advance the human one tick; returns the new state.
 
@@ -144,29 +278,7 @@ def step_human(g, h, rng):
     random neighbour, staying put on a node with none, and
     predict_human_path re-predicts it toward the unchanged goal.
     rng is anything with random() and integers(n), such as a numpy
-    Generator.
+    Generator.  The step is read from g's table of human states.
     """
-    diverged = h.uncertainty > 0.0 and rng.random() < h.uncertainty
-    if not diverged:
-        path = h.predicted_path
-        if path is None or len(path) < 2:
-            return h
-        memo = g.memo("follow")
-        key = (path, h.goal, h.uncertainty)
-        nxt = memo.get(key)
-        if nxt is None:
-            if g.edge(path[0], path[1]) is None:
-                raise ValueError(f"no edge {path[0]}-{path[1]} to follow")
-            nxt = _remember(memo, key, HumanState(
-                path[1], h.goal, h.uncertainty, path[1:]))
-        return nxt
-    nbrs = g.neighbors(h.position)
-    if not nbrs:
-        return h
-    memo = g.memo("diverge")
-    key = (nbrs[rng.integers(len(nbrs))][0], h.goal, h.uncertainty)
-    nxt = memo.get(key)
-    if nxt is None:
-        h = HumanState(*key)
-        nxt = _remember(memo, key, HumanState(*key, predict_human_path(g, h)))
-    return nxt
+    table = _human_table(g, None)
+    return table.rows[table.step(g, table.intern(h), rng)][0]

@@ -23,8 +23,6 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .env import EnvironmentGraph
 
 
@@ -117,6 +115,35 @@ def _tree(g, start, by_distance=False):
             node: _to_path(entry)
             for node, entry in _search(g, start, None, by_distance).items()}
     return tree
+
+
+def _heat_proof_path(g, start, goal, heated):
+    """max_success_path(g, start, goal) if g already holds the tree of
+    start and the search on a heat overlay of g provably returns it too,
+    else None; nothing is searched.
+
+    heated holds the keys of the overlay's heated edges, whose effective
+    success it must never raise.  Every path's key is then at least its
+    key on g, and equal off heated edges, so the overlay's search pops
+    g's entries in order until one crosses a heated edge: it is enough
+    that no node popped up to goal is reached in the tree through a
+    heated edge.  Avoiding heated edges alone is not: when floats round
+    two probabilities together, a heated edge can let the overlay's
+    search keep a walk that g's search dropped.
+    """
+    tree = g.memo("prob").get(start)
+    path = None if tree is None else tree.get(goal)
+    if path is None:
+        return None
+    bound = (-path.success_probability, path.total_distance, path.nodes)
+    for a, b in heated:
+        for src, dst in ((a, b), (b, a)):
+            hit = tree.get(dst)
+            if (hit is not None and hit.nodes[-2:-1] == (src,)
+                    and (-hit.success_probability, hit.total_distance,
+                         hit.nodes) <= bound):
+                return None
+    return path
 
 
 def _best_path(g, start, goal, by_distance):
@@ -228,6 +255,9 @@ def order_tasks(g, mission, from_node):
 
 
 def _best_order(trees, tasks, end):
+    # numpy loads with the first mission ordered, not with the package
+    import numpy as np
+
     # row i: legs from source i (0 = from_node, i = task i-1);
     # column j: legs to task j, or to the end node when j == k
     k = len(tasks)
@@ -256,6 +286,8 @@ def _permutations(k):
     Cached in the module rather than in g.memo: the table depends on k
     alone, not on any graph.  k is at most 8, so int8 entries suffice.
     """
+    import numpy as np
+
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
     perms.flags.writeable = False
     return perms

@@ -18,15 +18,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown, _remember)
-from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
-                    predict_human_path, step_human)
-from .planner import (check_reachable, max_success_path, order_tasks,
-                      shortest_distance_path)
+from .human import HeatParams, HumanState, _human_table, _predicted
+from .planner import (_heat_proof_path, check_reachable, max_success_path,
+                      order_tasks, shortest_distance_path)
 
 HOLD_TIMEOUT = "hold_timeout"
 CATASTROPHIC = "catastrophic"
@@ -68,7 +65,10 @@ class _Draws:
     __slots__ = ("_bits", "_words", "_half")
 
     def __init__(self, seed):
-        self._bits = np.random.PCG64(seed)
+        # numpy loads with the first episode, not with the package
+        from numpy.random import PCG64
+
+        self._bits = PCG64(seed)
         self._words = []  # the current block, reversed
         self._half = None
 
@@ -142,20 +142,40 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                key=lambda leg: (leg.total_distance, leg.nodes[-1]))
 
 
+def _plan_step(g, robot, target, heat):
+    """The step toward target under a human table's _Heat: the
+    max-success path on the heated map, the heated outcome row of its
+    first edge and that row's effective success.
+
+    When g already holds the tree of robot, the planner proves the heated
+    search would return its path, and the heat raises no edge's effective
+    success, the map is not heated at all.
+    """
+    path = _heat_proof_path(g, robot, target, heat.map)
+    hot = g
+    if path is None or not heat.lowers(g):
+        hot = heat.overlay(g)
+        path = max_success_path(hot, robot, target)
+        if path is None:
+            raise RuntimeError(f"objective {target} unreachable from {robot}")
+    edge = g.edge(robot, path.nodes[1])
+    return path, hot.probs(edge), hot.effective(edge)
+
+
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    What a tick derives is memoized in g.memo, which a base graph shares
-    with every episode it runs: the human's heat map (a frozenset of its
-    items) per (predicted nodes, which start at its position, uncertainty,
-    heat parameters), and the step (the max-success path on the heated
-    map, the heated outcome row of its first edge and that row's effective
-    success) per robot, objective and heat map.  The robot moves only while
-    that effective success is at least the mission threshold.  Only a
-    redirect gives the human a goal, a safe spot; step_human keeps it.
-    Draws come from _Draws(cfg.seed), which gives what
-    np.random.default_rng(cfg.seed) would; the episode and step_human
-    call only its random() and integers(n).
+    The human is an id in g's table of human states for cfg.heat, which
+    holds each state's successors and heat map.  The step (the
+    max-success path on the heated map, the heated outcome row of its
+    first edge and that row's effective success) is memoized in g.memo
+    per robot, objective and heat map.  A base graph shares both with
+    every episode it runs; a heat overlay keeps them for one episode.
+    The robot moves only while that effective success is at least the
+    mission threshold.  Only a redirect gives the human a goal, a safe
+    spot; a step keeps it.  Draws come from _Draws(cfg.seed), which gives
+    what np.random.default_rng(cfg.seed) would; the episode and the human
+    table call only its random() and integers(n).
     """
     g = cfg.environment
     mission = cfg.mission
@@ -165,14 +185,13 @@ def run_episode(cfg):
         robot = g.check_node(mission.start)
     else:
         robot = rng.integers(g.node_count)
-    human = HumanState(rng.integers(g.node_count), None, cfg.uncertainty)
-    human = HumanState(human.position, None, cfg.uncertainty,
-                       predict_human_path(g, human))
+    table = _human_table(g, cfg.heat)
+    rows = table.rows
+    hid = table.intern(_predicted(g, rng.integers(g.node_count), None,
+                                  cfg.uncertainty))
 
     route = order_tasks(g, mission, robot).ordered_tasks
-    heat_memo = g.memo("heat")
     step_memo = g.memo("step")
-    heat_params = (cfg.heat.path_heat, cfg.heat.neighbor_heat)
     idx = 0
     steps = 0
     redirects = 0
@@ -189,27 +208,19 @@ def run_episode(cfg):
             raise RuntimeError("episode exceeded the tick guard")
         steps += 1
 
-        human = step_human(g, human, rng)
+        hid = table.step(g, hid, rng)
+        row = rows[hid]
+        human = row[0]
         # ticks at the goal a redirect gave; 0 while the human has none
         settled = settled + 1 if human.position == human.goal else 0
-        hkey = (human.predicted_path, human.uncertainty, heat_params)
-        heat = heat_memo.get(hkey)
-        if heat is None:
-            heat = _remember(heat_memo, hkey, frozenset(
-                build_heat_map(g, human, cfg.heat).items()))
+        heat = row[3] or table.heat(g, hid)
 
         target = route[idx]
-        key = (robot, target, heat)
+        key = (robot, target, heat.items)
         step = step_memo.get(key)
         if step is None:
-            heated = apply_heat(g, dict(heat))
-            path = max_success_path(heated, robot, target)
-            if path is None:
-                raise RuntimeError(
-                    f"objective {target} unreachable from {robot}")
-            edge = g.edge(robot, path.nodes[1])
-            step = _remember(step_memo, key, (path, heated.probs(edge),
-                                              heated.effective(edge)))
+            step = _remember(step_memo, key,
+                             _plan_step(g, robot, target, heat))
         path, probs, eff = step
         nxt = path.nodes[1]
 
@@ -226,8 +237,9 @@ def run_episode(cfg):
                 leg = _redirect_target(g, mission, human.position,
                                        path.nodes)
                 if leg is not None:
-                    human = HumanState(human.position, leg.nodes[-1],
-                                       human.uncertainty, leg.nodes)
+                    hid = table.intern(HumanState(
+                        human.position, leg.nodes[-1], human.uncertainty,
+                        leg.nodes))
                     redirects += 1
                 redirect_tried = True
             if holds >= mission.hold_limit:

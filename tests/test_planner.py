@@ -11,8 +11,9 @@ import pytest
 from risknav import (MissionPlan, MissionSpec, UnreachableNodeError,
                      environment_from_dict, max_success_path, order_tasks,
                      path_from_nodes, shortest_distance_path)
-from risknav.human import apply_heat
-from risknav.planner import _permutations, check_reachable
+from risknav.human import (HeatParams, HumanState, apply_heat,
+                           build_heat_map, predict_human_path)
+from risknav.planner import _heat_proof_path, _permutations, check_reachable
 
 from conftest import (oracle_max_success, oracle_shortest, path_stats,
                       random_connected_doc, random_environment)
@@ -168,6 +169,90 @@ class TestMaxSuccessPath:
                     assert found.nodes == expect
                     assert (found.total_distance, found.success_probability) \
                         == path_stats(graph, expect)
+
+
+
+def crosses(nodes, heat):
+    return any(((a, b) if a < b else (b, a)) in heat
+               for a, b in zip(nodes, nodes[1:]))
+
+
+class TestHeatProofPath:
+    def test_a_proved_path_is_what_the_heated_search_returns(self):
+        # heats drawn through apply_heat, tiny ones included, and heats of
+        # predicted humans whose spill counts; wherever the planner proves
+        # the base path, the heated search returns that Path, and its
+        # first edge keeps its row and effective success
+        rng = np.random.default_rng(41)
+        spill = HeatParams(0.3, 0.9)
+        proved = avoided = 0
+        for _ in range(60):
+            g = random_environment(rng, max_nodes=8)
+            keys = list(g.edges)
+            pos, goal = (int(v) for v in rng.integers(g.node_count, size=2))
+            u = float(rng.choice([0.4, 0.7, 1.0]))
+            walker = HumanState(pos, goal, u, predict_human_path(
+                g, HumanState(pos, goal)))
+            heats = [build_heat_map(g, walker, spill)]
+            for _ in range(3):
+                heats.append({k: float(rng.choice(
+                    [1e-12, 0.998, rng.uniform(0.0, 0.99)]))
+                    for k in keys if rng.random() < 0.3})
+            for heat in heats:
+                hot = apply_heat(g, heat)
+                edges = [g.edge(*k) for k in heat]
+                assert all(hot.effective(e) <= g.effective(e)
+                           for e in edges)
+                for s, t in itertools.permutations(g.nodes, 2):
+                    base = max_success_path(g, s, t)
+                    avoided += not crosses(base.nodes, heat)
+                    path = _heat_proof_path(g, s, t, heat)
+                    if path is None:
+                        continue
+                    proved += 1
+                    assert path == base
+                    assert not crosses(path.nodes, heat)
+                    assert max_success_path(hot, s, t) == base
+                    edge = g.edge(s, base.nodes[1])
+                    assert hot.probs(edge) == g.probs(edge)
+                    assert hot.effective(edge) == g.effective(edge)
+        assert proved > 0.5 * avoided > 0
+
+    def test_nothing_is_searched_without_a_held_tree(self):
+        g = environment_from_dict(grid_doc())
+        assert _heat_proof_path(g, 0, 2, {}) is None
+        assert not g.memo("prob")
+        max_success_path(g, 0, 2)
+        assert _heat_proof_path(g, 0, 2, {}) == max_success_path(g, 0, 2)
+
+    def test_a_path_that_avoids_the_heat_is_not_enough(self):
+        # (0.65 * 0.84) * 0.36 rounds above (0.65 * 0.36) * 0.84, so the
+        # search reaches 3 by the long walk 0-1-2-3 and drops 0-4-5-3;
+        # times 0.7 the two round together, and the 8-long 0-7-8-9-6 wins
+        # at 6 over 0-1-2-3-6, of length 10.  Heating 1-2 lets the search
+        # keep 0-4-5-3, and 0-4-5-3-6, of length 4, wins with the same
+        # probability, though the base path crosses no heated edge
+        g = environment_from_dict({
+            "nodes": 10,
+            "risk_table": {"Low": [0.65, 0.0], "Medium": [0.84, 0.0],
+                           "High": [0.36, 0.0], "Severe": [0.7, 0.0]},
+            "edges": [[0, 1, 3.0, "Low"], [1, 2, 3.0, "Medium"],
+                      [2, 3, 3.0, "High"], [0, 4, 1.0, "Low"],
+                      [4, 5, 1.0, "High"], [3, 5, 1.0, "Medium"],
+                      [3, 6, 1.0, "Severe"], [0, 7, 2.0, "Low"],
+                      [7, 8, 2.0, "Medium"], [8, 9, 2.0, "High"],
+                      [6, 9, 2.0, "Severe"]]})
+        heat = {(1, 2): 0.5}
+        hot = apply_heat(g, heat)
+        edge = g.edge(1, 2)
+        assert hot.effective(edge) < g.effective(edge)
+        base = max_success_path(g, 0, 6)
+        assert base.nodes == (0, 7, 8, 9, 6)
+        assert not crosses(base.nodes, heat)
+        found = max_success_path(hot, 0, 6)
+        assert found.nodes == (0, 4, 5, 3, 6)
+        assert found.success_probability == base.success_probability
+        assert _heat_proof_path(g, 0, 6, heat) is None
 
 
 def oracle_plan(legs, tasks, end, start):

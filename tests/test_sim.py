@@ -1,7 +1,9 @@
 """Episode mechanics, sweep aggregation, configuration loading."""
 
+import gc
 import json
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -311,37 +313,49 @@ class TestGraphMemo:
                   [0.0, 0.7], 20)
         assert g._memo["plan"] and g._memo["step"]
 
-        # a low bound makes every per-tick memo clear itself inside
-        # episodes
+        # a low bound makes the step memo and the human table clear
+        # themselves inside episodes
         limit = 8
         monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
-        misses = {"step": [], "heat": [], "follow": [], "diverge": []}
-        for name, mod, attr in (("step", sim, "max_success_path"),
-                                ("heat", sim, "build_heat_map"),
-                                ("diverge", human, "predict_human_path")):
+        misses = {"step": [], "heat": []}
+        for name, mod, attr in (("step", sim, "_plan_step"),
+                                ("heat", human, "build_heat_map")):
             def counted(*args, _real=getattr(mod, attr), _log=misses[name],
                         **kwargs):
                 _log.append(None)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(mod, attr, counted)
 
-        # a follow miss computes nothing but the tail, so it is counted
-        # where step_human stores it
-        def remembered(table, key, value, _real=human._remember,
-                       _follow=g.memo("follow")):
-            if table is _follow:
-                misses["follow"].append(None)
-            return _real(table, key, value)
-        monkeypatch.setattr(human, "_remember", remembered)
+        # each intern is logged as (episode, new state, table cleared); a
+        # new state clears a full table before it takes its row
+        interns = []
+
+        def intern(table, h, _real=human._HumanTable.intern):
+            new, full = h not in table.ids, len(table.rows) > limit
+            interns.append((len(used), new, new and full))
+            return _real(table, h)
+        monkeypatch.setattr(human._HumanTable, "intern", intern)
         used, most = [], 0
         for u, seed in configs:
             before = len(misses["step"])
             used.append(outcome(g, u, seed))
             most = max(most, len(misses["step"]) - before)
         assert most > limit + 1
-        for name, log in misses.items():
+        for log in misses.values():
             assert len(log) > limit + 1
-            assert len(g._memo[name]) <= limit + 1
+        assert sum(new for _, new, _ in interns) > limit + 1
+        # a clear after an episode's first intern: the episode goes on
+        # with the id that the clearing intern returned
+        firsts = {}
+        for i, (episode, _, cleared) in enumerate(interns):
+            firsts.setdefault(episode, i)
+            if cleared and firsts[episode] < i:
+                break
+        else:
+            pytest.fail("no table cleared inside an episode")
+        assert len(g._memo["step"]) <= limit + 1
+        table = g._memo["human"][HeatParams()]
+        assert len(table.rows) == len(table.ids) <= limit + 1
         assert used == fresh
 
     def test_a_pickled_graph_carries_no_memo(self):
@@ -349,7 +363,7 @@ class TestGraphMemo:
         run_episode(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                   0.5, 1))
         clone = pickle.loads(pickle.dumps(g))
-        for name in ("plan", "step", "heat", "follow", "diverge", "heated"):
+        for name in ("plan", "prob", "step", "heated", "human"):
             assert g._memo[name]
         assert clone._memo == {}
         assert clone == g
@@ -398,26 +412,49 @@ class TestGraphMemo:
                     assert a == b
                     assert ra.bit_generator.state == rb.bit_generator.state
 
-            assert used._memo["heat"]
-            for key, heat in used._memo["heat"].items():
-                nodes, u, params = key
-                h = HumanState(nodes[0], None, u, nodes)
-                assert heat == frozenset(build_heat_map(
-                    used, h, HeatParams(*params)).items())
+            # every filled cell of the human tables holds what the pure
+            # functions give: successor states and the heat under params
+            heated = 0
+            for params, table in used._memo["human"].items():
+                for state, follow, diverge, heat in table.rows:
+                    if follow is not None:
+                        assert table.rows[follow][0] \
+                            == human._follow(used, state)
+                    nbrs = used.neighbors(state.position)
+                    for k, nxt in enumerate(diverge or ()):
+                        if nxt is not None:
+                            assert table.rows[nxt][0] == human._predicted(
+                                used, nbrs[k][0], state.goal,
+                                state.uncertainty)
+                    if heat is not None:
+                        heated += 1
+                        heat_map = build_heat_map(used, state, params)
+                        assert heat.map == heat_map
+                        assert heat.items == frozenset(heat_map.items())
+                        assert table.heats[heat.items] is heat
+                        hot = apply_heat(used, heat_map)
+                        if heat._rows is not None:
+                            assert heat._rows == hot.overrides
+                        assert heat.lowers(used) == all(
+                            hot.effective(used.edge(*key))
+                            <= used.effective(used.edge(*key))
+                            for key in heat_map)
+            assert heated
 
     def test_every_stepped_human_has_a_prediction_at_its_position(
             self, monkeypatch):
-        # predict_human_path alone predicts: the episode hands step_human
-        # predicted humans and uses what it returns without patching it
+        # predict_human_path alone predicts: the episode steps predicted
+        # humans through the human table and uses the ids it returns
+        # without patching the states they name
         seen = []
-        real = sim.step_human
+        real = human._HumanTable.step
 
-        def checked(g, h, rng):
-            nxt = real(g, h, rng)
-            seen.extend((h, nxt))
+        def checked(table, g, hid, rng):
+            nxt = real(table, g, hid, rng)
+            seen.extend((table.rows[hid][0], table.rows[nxt][0]))
             return nxt
 
-        monkeypatch.setattr(sim, "step_human", checked)
+        monkeypatch.setattr(human._HumanTable, "step", checked)
         rng = np.random.default_rng(29)
         for _ in range(20):
             doc = random_connected_doc(rng, max_nodes=8)
@@ -478,6 +515,52 @@ class TestGraphMemo:
             step_human(hot, HumanState(15, 6, u, path), rng)
         run_episode(EpisodeConfig(hot, mission, HeatParams(), 0.5, 1))
         assert g._memo == {}
+
+    def test_a_swept_graph_is_freed_without_the_cycle_collector(self):
+        # no memo entry, the human table included, refers back to its
+        # graph: a dropped graph is freed at once, not by the collector
+        gc.disable()
+        try:
+            g = load_default_environment()
+            ref = weakref.ref(g)
+            run_sweep(EpisodeConfig(g, load_default_mission(g), HeatParams(),
+                                    0.0, 5), [0.0, 0.5], 20)
+            assert g._memo["human"] and g._memo["step"]
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_a_heat_that_raises_an_effective_success_is_planned_heated(
+            self, monkeypatch):
+        # scaling 0.06 by 1 - 1e-16 moves the effective success 0.06 / 0.79
+        # up by one ulp; the planner proves the path 0-1 from the tree of
+        # 0 all the same, so only the heat's own check sends the step to
+        # the heated search
+        g = environment_from_dict({
+            "nodes": 3, "risk_table": {"Low": [0.06, 0.21],
+                                       "Medium": [0.9, 0.05]},
+            "edges": [[0, 1, 1.0, "Medium"], [1, 2, 1.0, "Low"]]})
+        edge = g.edge(1, 2)
+        base = max_success_path(g, 0, 1)  # the tree of 0 is held
+        heated = []
+        monkeypatch.setattr(sim, "max_success_path",
+                            lambda *args: heated.append(args)
+                            or max_success_path(*args))
+        parked = HumanState(2, None, 0.0, (2,))
+        for path_heat, lowers in ((0.5, True), (1e-16, False)):
+            table = human._human_table(g, HeatParams(path_heat, 0.0))
+            heat = table.heat(g, table.intern(parked))
+            assert heat.map == {(1, 2): path_heat}
+            hot = apply_heat(g, heat.map)
+            assert (hot.effective(edge) <= g.effective(edge)) == lowers
+            assert heat.lowers(g) is lowers
+            assert sim._heat_proof_path(g, 0, 1, heat.map) == base
+            del heated[:]
+            step = sim._plan_step(g, 0, 1, heat)
+            assert len(heated) == (not lowers)
+            assert step == (base, g.probs(g.edge(0, 1)),
+                            g.effective(g.edge(0, 1)))
 
 
 class TestRunSweep:
