@@ -33,8 +33,10 @@ REDIRECT_PATIENCE = 2
 
 _TICK_GUARD = 100_000  # sanity bound; a legitimate episode never gets close
 
+_MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _splitmix64(z):
@@ -45,11 +47,52 @@ def _splitmix64(z):
 
 
 def derive_seed(base_seed, level_index, episode_index):
-    """Per-episode seed stream: splitmix64 over (base, level, episode)."""
+    """Per-episode seed stream: splitmix64 over (base, level, episode).
+
+    Seeds are below 2**64; base seeds congruent mod 2**64 share a stream.
+    """
     z = _splitmix64(base_seed & _MASK64)
     z = _splitmix64(z ^ ((level_index * 0x9E3779B97F4A7C15) & _MASK64))
     z = _splitmix64(z ^ ((episode_index * 0xBF58476D1CE4E5B9) & _MASK64))
     return z
+
+
+def _pcg64_states(seeds):
+    """Yield PCG64(s).state["state"] for each seed s below 2**64.
+
+    SeedSequence(s).generate_state(4, uint64), numpy's NEP 19 hash of a
+    4-word pool holding s's two little-endian 32-bit words (one-word seeds
+    hash as [s, 0]), runs as uint32 array operations over all the seeds;
+    PCG's srandom step then makes each state and increment from its words.
+    """
+    import numpy as np
+
+    def hasher(mult, step):
+        def hash(value):
+            nonlocal mult
+            value = value ^ mult
+            mult = mult * step & _MASK32
+            value = value * mult
+            return value ^ value >> 16
+        return hash
+
+    seeds = np.array(seeds, dtype=np.uint64)
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word.astype(np.uint32))
+            for word in (seeds & _MASK32, seeds >> 32, seeds & 0, seeds & 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = (pool[dst] * 0xCA01F9DD
+                         - hashmix(pool[src]) * 0x4973F715)
+                pool[dst] = value ^ value >> 16
+    out = hasher(0x8B51F9DD, 0x58F38DED)
+    words = [out(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    for s0, s1, i0, i1 in zip(*((lo | hi << 32).tolist()
+                                for lo, hi in zip(words[::2], words[1::2]))):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((s0 << 64 | s1) + inc) * _PCG64_MULT + inc
+        yield {"state": state & _MASK128, "inc": inc}
 
 
 class _Draws:
@@ -59,7 +102,8 @@ class _Draws:
     would, for 1 <= n <= 2**32: random() is the top 53 bits of a word, and
     integers(n) is Lemire's bounded method on 32-bit draws.  A 32-bit draw
     takes the low half of a word and keeps the high half for the next one;
-    random() does not touch the kept half, as in numpy's PCG64.
+    random() does not touch the kept half, as in numpy's PCG64.  A sweep
+    chunk reseeds one _Draws per episode from _pcg64_states.
     """
 
     __slots__ = ("_bits", "_words", "_half")
@@ -71,6 +115,12 @@ class _Draws:
         self._bits = PCG64(seed)
         self._words = []  # the current block, reversed
         self._half = None
+
+    def reseed(self, state):
+        """Restart as _Draws(s), given _pcg64_states' entry for s."""
+        self._bits.state = {"bit_generator": "PCG64", "state": state,
+                            "has_uint32": 0, "uinteger": 0}
+        self._words, self._half = [], None
 
     def _word(self):
         if not self._words:
@@ -175,11 +225,16 @@ def run_episode(cfg):
     mission threshold.  Only a redirect gives the human a goal, a safe
     spot; a step keeps it.  Draws come from _Draws(cfg.seed), which gives
     what np.random.default_rng(cfg.seed) would; the episode and the human
-    table call only its random() and integers(n).
+    table call only its random() and integers(n).  A sweep chunk runs the
+    same body on one _Draws reseeded per episode.
     """
+    return _episode(cfg, _Draws(cfg.seed))
+
+
+def _episode(cfg, rng):
+    """run_episode's body, drawing from rng; cfg.seed is not read."""
     g = cfg.environment
     mission = cfg.mission
-    rng = _Draws(cfg.seed)
 
     if mission.start is not None:
         robot = g.check_node(mission.start)
@@ -289,10 +344,12 @@ def _sweep_chunk(job):
 
 def _run_chunk(levels, level_index, lo, hi):
     level = levels[level_index]
+    rng = _Draws(0)
     tally = Counter()
-    for j in range(lo, hi):
-        out = run_episode(replace(
-            level, seed=derive_seed(level.seed, level_index, j)))
+    for state in _pcg64_states([derive_seed(level.seed, level_index, j)
+                                for j in range(lo, hi)]):
+        rng.reseed(state)
+        out = _episode(level, rng)
         tally[out.failure_cause, out.redirects] += 1
     return level_index, tally
 

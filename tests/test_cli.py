@@ -316,6 +316,13 @@ class TestSweep:
             "--seed", "9", "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_seeds_congruent_mod_two_to_the_64_give_one_csv(self, capsys):
+        outs = [run(capsys, "sweep", "--levels", "0,1", "--episodes", "30",
+                    "--seed", str(seed))[1]
+                for seed in (9, 9 + 2 ** 64, 9 + 5 * 2 ** 64)]
+        assert outs[0].startswith("uncertainty,")
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
     def test_config_file_drives_the_run(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"levels": [0.0], "episodes_per_level": 4,

@@ -61,6 +61,15 @@ class TestDeriveSeed:
                 for lvl in range(11) for ep in range(200)}
         assert len(seen) == 11 * 200
 
+    def test_seeds_stay_below_two_to_the_64(self):
+        # a sweep chunk seeds PCG64 from two 32-bit words per seed, so no
+        # base seed may reach a third; congruent bases share one stream
+        for base in (2 ** 64, 2 ** 64 + 7, 3 * 2 ** 64 - 1, 2 ** 200 + 9):
+            for lvl, ep in ((0, 0), (3, 11), (10, 999)):
+                seed = derive_seed(base, lvl, ep)
+                assert 0 <= seed < 2 ** 64
+                assert seed == derive_seed(base % 2 ** 64, lvl, ep)
+
 
 class TestDraws:
     """sim._Draws against np.random.Generator on one PCG64 stream."""
@@ -99,6 +108,37 @@ class TestDraws:
                 else:
                     n = sizes[k]
                     assert draws.integers(n) == ref.integers(n)
+
+    def test_batched_states_are_the_pcg64_states(self):
+        # the 32-bit word boundaries, the largest seed, and 3,300 sweep
+        # seeds; reseeding must leave the whole PCG64 state numpy's own
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+        seeds += [derive_seed(7, lvl, ep)
+                  for lvl in range(11) for ep in range(300)]
+        draws = sim._Draws(0)
+        states = list(sim._pcg64_states(seeds))
+        assert len(states) == len(seeds)
+        for seed, state in zip(seeds, states):
+            draws.reseed(state)
+            assert draws._bits.state == np.random.PCG64(seed).state
+
+    def test_a_reseeded_stream_is_a_fresh_one(self):
+        sizes = (1, 2, 5, 30, 2 ** 31 + 1)
+        plan = np.random.default_rng(97)
+        seeds = [0, 2 ** 32, 2 ** 64 - 1, derive_seed(7, 3, 11)]
+        draws = sim._Draws(5)
+        for seed, state in zip(seeds, sim._pcg64_states(seeds)):
+            # leave a part-read block and a kept 32-bit half behind
+            draws.random()
+            draws.integers(30)
+            draws.reseed(state)
+            fresh = sim._Draws(seed)
+            for k in plan.integers(len(sizes) + 1, size=200).tolist():
+                if k == len(sizes):
+                    assert draws.random() == fresh.random()
+                else:
+                    assert draws.integers(sizes[k]) == fresh.integers(
+                        sizes[k])
 
     def test_draws_return_python_numbers(self):
         draws = sim._Draws(7)

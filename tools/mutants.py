@@ -1,4 +1,5 @@
-"""Run Tier-1 against one-line mutants of the episode tick.
+"""Run Tier-1 against one-line mutants of the episode tick and of sweep
+seeding.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -27,6 +28,7 @@ COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 SIM = "src/risknav/sim.py"
 
 # (name, file, old text, new text); each changes one line of the tick
+# or of the seeding of a sweep chunk
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -49,6 +51,12 @@ MUTANTS = (
     ("redirect tie-break reversed", SIM,
      "key=lambda leg: (leg.total_distance, leg.nodes[-1]))",
      "key=lambda leg: (leg.total_distance, -leg.nodes[-1]))"),
+    ("increment loses its odd bit", SIM,
+     "inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128",
+     "inc = ((i0 << 64 | i1) << 1) & _MASK128"),
+    ("chunk numbers episodes from 0", SIM,
+     "for j in range(lo, hi)]",
+     "for j in range(hi - lo)]"),
 )
 
 
