@@ -16,8 +16,7 @@ import sys
 import tempfile
 
 from .env import _environment_or_default, _mission_or_default
-from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
-                    predict_human_path)
+from .human import HeatParams, _predicted, apply_heat, build_heat_map
 from .planner import (UnreachableNodeError, check_reachable,
                       max_success_path, shortest_distance_path)
 from .sim import (EpisodeConfig, load_sweep_config, read_sweep_config,
@@ -51,8 +50,7 @@ def _parse_human(g, text):
     except ValueError:
         raise ValueError(
             f"--human {text!r}: fields must be numeric") from None
-    human = HumanState(pos, goal, u)
-    return HumanState(pos, goal, u, predict_human_path(g, human))
+    return _predicted(g, pos, goal, u)
 
 
 def _levels_arg(text):

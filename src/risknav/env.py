@@ -26,6 +26,7 @@ DEFAULT_RISK_TABLE = {
 }
 
 PROB_SUM_TOL = 1e-12
+MAX_TASKS = 10  # 11 tasks would take order_tasks about 5 s per start
 _STEP_MEMO_LIMIT = 200_000  # a per-tick memo table is cleared past this size
 
 
@@ -245,7 +246,8 @@ class MissionSpec:
     """A task set, a mandatory final node, and the safety parameters.
 
     start is None when the robot's start node is drawn uniformly at random
-    per episode.
+    per episode.  tasks holds at most MAX_TASKS nodes, since order_tasks
+    scores every visiting order.
     """
 
     start: int | None
@@ -259,6 +261,9 @@ class MissionSpec:
         for name in ("tasks", "safe_locations"):
             if not isinstance(getattr(self, name), tuple):
                 raise ValueError(f"{name} must be a tuple of node ids")
+        if len(self.tasks) > MAX_TASKS:
+            raise ValueError(f"{len(self.tasks)} tasks exceed the limit of "
+                             f"{MAX_TASKS}")
         if not (_is_number(self.threshold) and 0.0 < self.threshold <= 1.0):
             raise ValueError(f"threshold {self.threshold!r} outside (0, 1]")
         if not _is_number(self.hold_limit, int):

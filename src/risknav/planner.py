@@ -9,10 +9,11 @@ planner, then the node sequence itself).
 On a base graph each objective runs one full search per source and
 memoizes it as a tree of paths to every reachable node; on a heat overlay
 the search stops at the goal.  Task ordering reads its legs from the
-max-success trees of its start and of each task.  Every memo is a g.memo
+max-success trees of its start and of each task, and one exhaustive
+scorer covers every accepted task count.  Every memo is a g.memo
 table: search trees per objective and source, and mission plans per
 (tasks, end node, start).  A heat overlay's tables are never kept, and
-the permutation table of k tasks is kept per process, not per graph.
+the permutation table of up to 8 tasks is kept per process, not per graph.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import warnings
 from dataclasses import dataclass
 
 from .env import EnvironmentGraph
@@ -221,12 +221,11 @@ def order_tasks(g, mission, from_node):
     """Choose the task visiting order that maximises mission success.
 
     Legs between waypoints are read from one max-success search tree per
-    waypoint.  Up to 8 tasks, every permutation is scored at once by
-    multiplying and adding the legs left to right, as _compose does, and
-    the winner is the smallest (-probability, distance, task order).
-    Beyond 8 a greedy nearest-task order is used instead and a warning is
-    emitted.  The end node is always appended after the last task.
-    Memoized per (tasks, end node, start) in g.memo.
+    waypoint.  Every order of the tasks (at most MAX_TASKS, as MissionSpec
+    accepts) is scored by multiplying and adding its legs left to right,
+    as _compose does, and the winner is the smallest (-probability,
+    distance, task order).  The end node is always appended after the
+    last task.  Memoized per (tasks, end node, start) in g.memo.
     """
     g.check_node(from_node)
     memo = g.memo("plan")
@@ -237,11 +236,8 @@ def order_tasks(g, mission, from_node):
     check_reachable(g, mission, (from_node,))
     sources = (from_node,) + mission.tasks
     trees = {s: _tree(g, s) for s in sources}
-    if len(mission.tasks) > 8:
-        order = _greedy_order(g, mission, from_node)
-    else:
-        order = _best_order([trees[s] for s in sources], mission.tasks,
-                            mission.end)
+    order = _best_order([trees[s] for s in sources], mission.tasks,
+                        mission.end)
 
     legs = []
     here = from_node
@@ -258,25 +254,38 @@ def _best_order(trees, tasks, end):
     # numpy loads with the first mission ordered, not with the package
     import numpy as np
 
-    # row i: legs from source i (0 = from_node, i = task i-1);
-    # column j: legs to task j, or to the end node when j == k
+    # each order of the first k - m tasks (the one empty order up to 8
+    # tasks) is folded alone, and the table of the other m scores on from
+    # its product and distance; trees[0] is from_node's, trees[j + 1] task j's
     k = len(tasks)
-    targets = tasks + (end,)
-    prob = np.array([[tree[t].success_probability for t in targets]
-                     for tree in trees])
-    dist = np.array([[tree[t].total_distance for t in targets]
-                     for tree in trees])
-    perms = _permutations(k)
-    total_prob = np.ones(len(perms))
-    total_dist = np.zeros(len(perms))
-    here = np.zeros(len(perms), dtype=np.int8)
-    for col in [*perms.T, np.full(len(perms), k, dtype=np.int8)]:
-        total_prob = total_prob * prob[here, col]
-        total_dist = total_dist + dist[here, col]
-        here = col + 1
-    best = np.flatnonzero(total_prob == total_prob.max())
-    best = best[total_dist[best] == total_dist[best].min()]
-    return min(tuple(tasks[i] for i in perms[b]) for b in best)
+    m = min(k, 8)
+    perms = _permutations(m)
+    cols = [*perms.T, np.full(len(perms), m, dtype=np.int8)]
+    keys = []
+    for prefix in itertools.permutations(range(k), k - m):
+        here = (0, *(j + 1 for j in prefix))
+        p, d = _compose(trees[a][tasks[j]] for a, j in zip(here, prefix))
+        rest = [j for j in range(k) if j not in prefix]
+        # row i: legs from the prefix's last waypoint (i = 0) or from task
+        # rest[i - 1]; column i: legs to task rest[i], or to end when i == m
+        sources = [trees[here[-1]]] + [trees[j + 1] for j in rest]
+        targets = [tasks[j] for j in rest] + [end]
+        prob = np.array([[tree[t].success_probability for t in targets]
+                         for tree in sources])
+        dist = np.array([[tree[t].total_distance for t in targets]
+                         for tree in sources])
+        total_prob, total_dist, at = p, d, 0
+        for col in cols:
+            total_prob = total_prob * prob[at, col]
+            total_dist = total_dist + dist[at, col]
+            at = col + 1
+        top = np.flatnonzero(total_prob == total_prob.max())
+        top = top[total_dist[top] == total_dist[top].min()]
+        head = [tasks[j] for j in prefix]
+        keys.append((-float(total_prob[top[0]]), float(total_dist[top[0]]),
+                     min(tuple(head + [targets[i] for i in perms[b]])
+                         for b in top)))
+    return min(keys)[2]
 
 
 @functools.cache
@@ -291,21 +300,3 @@ def _permutations(k):
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
     perms.flags.writeable = False
     return perms
-
-
-def _greedy_order(g, mission, from_node):
-    # nearest = smallest shortest-path distance from the current node
-    warnings.warn(f"{len(mission.tasks)} tasks exceed the exhaustive-search "
-                  "limit of 8; falling back to nearest-task greedy ordering")
-    remaining = set(mission.tasks)
-    here = from_node
-    order = []
-    while remaining:
-        ranked = sorted(
-            (shortest_distance_path(g, here, t).total_distance, t)
-            for t in remaining)
-        _, pick = ranked[0]
-        order.append(pick)
-        remaining.remove(pick)
-        here = pick
-    return tuple(order)

@@ -249,6 +249,46 @@ class TestSimulate:
         assert episodes == []
 
 
+class TestTaskLimit:
+    # the bundled map with 11 tasks, one more than MissionSpec accepts
+    def write_mission(self, tmp_path):
+        target = tmp_path / "mission.json"
+        target.write_text(json.dumps(
+            {"start": "random", "tasks": list(range(11)), "end": 22,
+             "safe_locations": [13]}))
+        return str(target)
+
+    COMMANDS = (("simulate",),
+                ("sweep", "--workers", "2", "--episodes", "500",
+                 "--levels", "0"))
+    ERROR = "error: 11 tasks exceed the limit of 10\n"
+
+    def test_refused_before_any_episode_or_process(self, capsys, tmp_path,
+                                                   monkeypatch):
+        mission = self.write_mission(tmp_path)
+        started = []
+        monkeypatch.setattr(sim, "_episode",
+                            lambda *args: started.append(args))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor",
+                            lambda *args, **kw: started.append(kw))
+        for argv in self.COMMANDS:
+            code, out, err = run(capsys, *argv, "--mission", mission)
+            assert (code, out, err) == (1, "", self.ERROR)
+        assert started == []
+
+    def test_a_real_process_prints_one_error_line(self, tmp_path):
+        mission = self.write_mission(tmp_path)
+        src = pathlib.Path(risknav.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for argv in self.COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "risknav.cli", *argv,
+                 "--mission", mission],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                1, "", self.ERROR)
+
+
 # an integer too large for a float, where a float is expected
 HUGE = 10 ** 400
 

@@ -285,6 +285,13 @@ class TestMissionSpec:
         with pytest.raises(ValueError, match="duplicate task"):
             mission_from_dict(doc)
 
+    def test_more_than_max_tasks_rejected(self):
+        # order_tasks scores every visiting order, so the count is capped
+        assert len(MissionSpec(None, tuple(range(10)), 10, ()).tasks) == 10
+        with pytest.raises(ValueError,
+                           match="^11 tasks exceed the limit of 10$"):
+            MissionSpec(None, tuple(range(11)), 11, ())
+
     def test_missing_field_rejected(self):
         doc = self.doc()
         del doc["end"]

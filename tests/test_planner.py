@@ -1,9 +1,11 @@
 """Dual planners and mission task ordering against brute-force oracles."""
 
+import functools
 import itertools
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,30 +257,36 @@ class TestHeatProofPath:
         assert _heat_proof_path(g, 0, 6, heat) is None
 
 
+@functools.cache
+def every_order(k):
+    """Every permutation of range(k), one per row, in itertools order."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+
+
 def oracle_plan(legs, tasks, end, start):
     """Exhaustive MissionPlan over every task order, composed left to right
     like order_tasks, plus the first order (in permutation order) that ties
-    with the winner on probability and distance."""
-    best = None
-    scored = []
-    for perm in itertools.permutations(tasks):
-        chosen = []
-        prob, dist = 1.0, 0.0
-        here = start
-        for t in perm + (end,):
-            leg = legs[here, t]
-            chosen.append(leg)
-            prob = prob * leg.success_probability
-            dist = dist + leg.total_distance
-            here = t
-        scored.append((prob, dist, perm))
-        key = (-prob, dist, perm)
-        if best is None or key < best[0]:
-            best = (key, chosen)
-    (neg_prob, dist, perm), chosen = best
-    first_tied = next(p for q, d, p in scored if (q, d) == (-neg_prob, dist))
-    return (MissionPlan(perm + (end,), tuple(chosen), -neg_prob, dist),
-            first_tied + (end,))
+    with the winner on probability and distance.  legs maps every node
+    pair to its leg; the orders are folded side by side in numpy, whose
+    float64 products and sums round as Python floats do."""
+    walks = np.array(tasks, dtype=np.intp)[every_order(len(tasks))]
+    stops = [np.full(len(walks), start), *walks.T, np.full(len(walks), end)]
+    size = max(map(max, legs)) + 1
+    leg_prob, leg_dist = np.zeros((size, size)), np.zeros((size, size))
+    for (a, b), leg in legs.items():
+        leg_prob[a, b] = leg.success_probability
+        leg_dist[a, b] = leg.total_distance
+    prob, dist = np.ones(len(walks)), np.zeros(len(walks))
+    for a, b in zip(stops, stops[1:]):
+        prob = prob * leg_prob[a, b]
+        dist = dist + leg_dist[a, b]
+    tied = np.flatnonzero(prob == prob.max())
+    tied = tied[dist[tied] == dist[tied].min()]
+    perm = min(map(tuple, walks[tied].tolist()))
+    chosen = tuple(legs[a, b] for a, b in zip((start,) + perm, perm + (end,)))
+    return (MissionPlan(perm + (end,), chosen, float(prob[tied[0]]),
+                        float(dist[tied[0]])),
+            tuple(walks[tied[0]].tolist()) + (end,))
 
 
 def docs_for_every_task_count(rng, per_count):
@@ -357,15 +365,40 @@ class TestOrderTasks:
         with pytest.raises(UnreachableNodeError, match="end node 2"):
             order_tasks(g, self.mission([1], 2), 0)
 
-    def test_many_tasks_fall_back_to_greedy_with_warning(self):
-        doc = {"nodes": 11,
-               "edges": [[i, i + 1, 1.0, "Low"] for i in range(10)]}
+    def test_nine_tasks_match_the_oracle_from_every_start(self):
+        # beyond 8 tasks each first task is scored apart; on a tie-prone
+        # map of unit-length Low edges the winner must still be the least
+        # (-probability, distance, task order) over every order, and the
+        # task order must break a tie from some start
+        rng = np.random.default_rng(17)
+        doc = random_connected_doc(rng, max_nodes=10)
+        while doc["nodes"] < 10:
+            doc = random_connected_doc(rng, max_nodes=10)
+        doc["edges"] = [[a, b, 1.0, "Low"] for a, b, _, _ in doc["edges"]]
+        assert self.check_every_start(environment_from_dict(doc), rng, 9) > 0
+
+    def test_ten_tasks_find_an_order_past_the_first_prefix(self):
+        # a Low line 0-1-...-11 and a short Severe edge 0-10: only the line
+        # order crosses no Severe edge and no Low edge twice, so it is the
+        # one best order, and the tasks are listed so that it begins with
+        # neither of the first two
+        doc = {"nodes": 12,
+               "edges": [[i, i + 1, 1.0, "Low"] for i in range(11)]
+               + [[0, 10, 0.5, "Severe"]]}
         g = environment_from_dict(doc)
-        mission = self.mission(list(range(1, 10)), 10)
-        with pytest.warns(UserWarning, match="greedy"):
-            plan = order_tasks(g, mission, 0)
-        # nearest-first on a line is simply the line order
-        assert plan.ordered_tasks == tuple(range(1, 11))
+        plan = order_tasks(g, self.mission(range(10, 0, -1), 11), 0)
+        assert plan.ordered_tasks == tuple(range(1, 12))
+        assert [leg.nodes for leg in plan.legs] == [
+            (i, i + 1) for i in range(11)]
+        assert plan.plan_distance == 11.0
+
+    def test_bundled_map_with_nine_tasks(self, default_env, default_mission):
+        mission = replace(default_mission,
+                          tasks=default_mission.tasks + (1, 2))
+        plan = order_tasks(default_env, mission, 0)
+        assert plan.ordered_tasks == (2, 1, 3, 6, 9, 24, 12, 16, 29, 22)
+        assert repr(plan.plan_probability) == "0.9906443478573668"
+        assert repr(plan.plan_distance) == "36.3"
 
 
 def per_waypoint_reachable(g, mission, starts=None):

@@ -1,5 +1,5 @@
-"""Run Tier-1 against one-line mutants of the episode tick and of sweep
-seeding.
+"""Run Tier-1 against one-line mutants of the episode tick, of sweep
+seeding and of task ordering.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -26,9 +26,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 SIM = "src/risknav/sim.py"
+PLANNER = "src/risknav/planner.py"
 
-# (name, file, old text, new text); each changes one line of the tick
-# or of the seeding of a sweep chunk
+# (name, file, old text, new text); each changes one line of the tick,
+# of the seeding of a sweep chunk or of the task-order scorer
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -57,6 +58,9 @@ MUTANTS = (
     ("chunk numbers episodes from 0", SIM,
      "for j in range(lo, hi)]",
      "for j in range(hi - lo)]"),
+    ("prefix product reset to 1", PLANNER,
+     "total_prob, total_dist, at = p, d, 0",
+     "total_prob, total_dist, at = 1.0, d, 0"),
 )
 
 
