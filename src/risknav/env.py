@@ -131,8 +131,13 @@ class EnvironmentGraph:
             self._adj[e.b].append((e.a, e))
         for lst in self._adj:
             lst.sort(key=lambda pair: pair[0])
-        self._eff = {name: effective_success(p)
-                     for name, p in self.risk_table.items()}
+        # what a relaxation reads: edge numbers in edges order, effective
+        # success by number, and per node (neighbour, distance, number) rows
+        self._index = {key: i for i, key in enumerate(self.edges)}
+        self._effs = [effective_success(self.risk_table[e.risk])
+                      for e in self.edges.values()]
+        self._hops = [[(nbr, e.distance, self._index[e.key()])
+                       for nbr, e in lst] for lst in self._adj]
         # the one owner of every planning and per-tick cache; each entry
         # is a pure function of the (immutable) graph and its key
         self._memo = {}
@@ -195,7 +200,7 @@ class EnvironmentGraph:
         return self.risk_table[edge.risk]
 
     def effective(self, edge):
-        return self._eff[edge.risk]
+        return self._effs[self._index[edge.key()]]
 
     def __eq__(self, other):
         if not isinstance(other, EnvironmentGraph):
@@ -210,22 +215,28 @@ class EnvironmentGraph:
 class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
-    Takes its topology (node_count, nodes, check_node, neighbors, edge and
-    the adjacency) from the base graph and keeps only the heated rows;
-    effective() reads a heated edge's value off its row.  Planner and
-    validator code accepts either graph type.  An overlay shares no memo:
-    its probabilities are not its base's.
+    Takes its topology (node_count, nodes, check_node, neighbors, edge,
+    edges, the edge numbers and the hop rows) from the base graph and
+    keeps the heated rows plus a copy of the base's effective-success
+    list with each heated edge's value written in.  Planner and validator
+    code accepts either graph type.  An overlay shares no memo: its
+    probabilities are not its base's.
     """
 
     def __init__(self, base, overrides):
         self.base = base
-        self._adj = base._adj
         self.node_count = base.node_count
         self.nodes = base.nodes
         self.check_node = base.check_node
         self.neighbors = base.neighbors
         self.edge = base.edge
+        self.edges = base.edges
+        self._index = base._index
+        self._hops = base._hops
         self.overrides = dict(overrides)
+        self._effs = base._effs.copy()
+        for key, row in self.overrides.items():
+            self._effs[self._index[key]] = effective_success(row)
 
     def memo(self, table):
         """A fresh table each call, so nothing derived here is kept."""
@@ -235,10 +246,7 @@ class HeatedGraph:
         hit = self.overrides.get(edge.key())
         return hit if hit is not None else self.base.probs(edge)
 
-    def effective(self, edge):
-        hit = self.overrides.get(edge.key())
-        return (effective_success(hit) if hit is not None
-                else self.base.effective(edge))
+    effective = EnvironmentGraph.effective
 
 
 @dataclass(frozen=True)

@@ -119,10 +119,16 @@ def apply_heat(g, heat_map):
     memo = g.memo("heated")
     overrides = {}
     for key, h in heat_map.items():
-        try:
-            edge = g.edge(*key)
-        except TypeError:  # a key that is not a pair of nodes
-            edge = None
+        # only a pair of exact ints is looked up directly: (0, True) or
+        # (0.0, 1) would hash like (0, 1); reversed pairs, misses and any
+        # other key take the checked path, which names a bad node
+        edge = (g.edges.get(key) if type(key) is tuple and len(key) == 2
+                and type(key[0]) is int and type(key[1]) is int else None)
+        if edge is None:
+            try:
+                edge = g.edge(*key)
+            except TypeError:  # a key that is not a pair of nodes
+                edge = None
         if edge is None:
             raise ValueError(f"heat on missing edge {key!r}")
         # build_heat_map yields floats, so they skip the full type check

@@ -75,9 +75,14 @@ def _search(g, start, goal=None, by_distance=False):
     probability, and the distance breaks its ties.  The search stops
     after popping goal, or runs to exhaustion when goal is None; the pops
     before goal are the same either way.  Both objectives accumulate in
-    path order, so entries are bit-identical to a brute-force enumeration
-    with the same arithmetic.
+    path order.  It is not always the brute-force optimum: floats can
+    round a dropped prefix's extension together with a kept one's, and the
+    tie rule would then pick the dropped one.  On the 10-node map of
+    test_a_path_that_avoids_the_heat_is_not_enough, max_success_path(g, 0,
+    6) returns (0, 7, 8, 9, 6) of distance 8, not (0, 4, 5, 3, 6) of equal
+    probability and distance 4.
     """
+    hops, effs = g._hops, g._effs
     popped = {}
     heap = [(0.0 if by_distance else -1.0, 0.0, (start,), 1.0)]
     while heap:
@@ -89,10 +94,10 @@ def _search(g, start, goal=None, by_distance=False):
         popped[node] = entry
         if node == goal:
             break
-        for nbr, edge in g._adj[node]:
+        for nbr, w, i in hops[node]:
             if nbr not in popped:
-                d = dist + edge.distance
-                p = prob * g.effective(edge)
+                d = dist + w
+                p = prob * effs[i]
                 heapq.heappush(heap, (d if by_distance else -p, d,
                                       seq + (nbr,), p))
     return popped

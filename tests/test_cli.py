@@ -41,15 +41,17 @@ def write_stranded_start(tmp_path):
     return env, str(mission)
 
 
-def count_episodes(monkeypatch, module):
+def count_episodes(monkeypatch, module, name="run_episode"):
+    # a sweep chunk runs sim._episode, never run_episode, so a sweep test
+    # counts name="_episode"
     calls = []
-    real = module.run_episode
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "run_episode", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -323,7 +325,7 @@ class TestSweep:
     def test_unreachable_possible_start_exits_two(self, capsys, tmp_path,
                                                   monkeypatch):
         env, mission = write_stranded_start(tmp_path)
-        episodes = count_episodes(monkeypatch, sim)
+        episodes = count_episodes(monkeypatch, sim, "_episode")
         code, out, err = run(capsys, "sweep", "--env", env,
                              "--mission", mission, "--levels", "0,1",
                              "--episodes", "20", "--seed", "1")

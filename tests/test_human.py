@@ -5,11 +5,12 @@ import pytest
 
 from risknav import (Edge, EnvironmentGraph, HeatParams, HumanState,
                      OutcomeProbs, apply_heat, build_heat_map,
-                     environment_from_dict, load_default_environment,
+                     effective_success, environment_from_dict,
+                     load_default_environment, max_success_path,
                      predict_human_path, step_human)
 from risknav.planner import Path, shortest_distance_path
 
-from conftest import random_environment
+from conftest import path_stats, random_environment
 
 
 def line_doc():
@@ -204,6 +205,80 @@ class TestApplyHeat:
         for h in ("0.5", None, False, np.float32(0.0)):
             with pytest.raises(ValueError, match="heat .* outside"):
                 apply_heat(g, {(1, 2): h})
+
+
+    # the error each key raised before pairs of ints were looked up in
+    # the edge dict directly; (0, 29) is no edge of the bundled map
+    KEY_ERRORS = (
+        ((0, True), "node True must be an int, not bool"),
+        ((0.0, 1), "node 0.0 must be an int, not float"),
+        ((np.int64(0), 1), "node np.int64(0) must be an int, not int64"),
+        ((0, 1, 2), "heat on missing edge (0, 1, 2)"),
+        ((0,), "heat on missing edge (0,)"),
+        ("ab", "node 'a' must be an int, not str"),
+        ((0, 30), "node 30 outside 0..29"),
+        ((0, 29), "heat on missing edge (0, 29)"),
+    )
+
+    def test_bad_keys_keep_their_errors_with_a_cold_and_a_warm_memo(self):
+        g = load_default_environment()
+        for warm in (False, True):
+            if warm:  # the row of (Low, 0.5) is now memoized
+                apply_heat(g, {(0, 1): 0.5})
+            for key, message in self.KEY_ERRORS:
+                with pytest.raises(ValueError) as err:
+                    apply_heat(g, {key: 0.5})
+                assert str(err.value) == message
+
+    def test_a_reversed_pair_heats_the_same_edge(self):
+        g = load_default_environment()
+        for warm in (False, True):
+            hot = apply_heat(g, {(1, 0): 0.5})
+            assert hot.overrides == apply_heat(g, {(0, 1): 0.5}).overrides
+            assert list(hot.overrides) == [(0, 1)]
+            assert hot.effective(g.edge(0, 1)) < g.effective(g.edge(0, 1))
+
+
+class TestOverlayTable:
+    """An overlay's effective-success list is a patched copy of its
+    base's, and the planner reads it."""
+
+    def random_heat(self, rng, g):
+        # zero heats are skipped, and 1e-16 moves a row by at most an ulp
+        keys = list(g.edges)
+        picked = rng.choice(len(keys), size=int(rng.integers(0, len(keys)
+                                                               + 1)),
+                            replace=False)
+        values = (0.0, 1e-16, 0.5, 0.998)
+        return {keys[i]: (values[int(rng.integers(4))]
+                          if rng.random() < 0.5 else float(rng.random()))
+                for i in picked}
+
+    def test_effective_reads_each_row_and_overlays_never_alias(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            g = random_environment(rng)
+            edges = list(g.edges.values())
+            before = [g.effective(e) for e in edges]
+            once = apply_heat(g, self.random_heat(rng, g))
+            first = [once.effective(e) for e in edges]
+            twice = apply_heat(once, self.random_heat(rng, g))
+            for graph in (g, once, twice):
+                for e in edges:
+                    assert graph.effective(e) == effective_success(
+                        graph.probs(e))
+            assert [g.effective(e) for e in edges] == before
+            assert [once.effective(e) for e in edges] == first
+            for hot in (once, twice):
+                for s in g.nodes:
+                    for t in g.nodes:
+                        for plan in (max_success_path,
+                                     shortest_distance_path):
+                            path = plan(hot, s, t)
+                            assert path is not None
+                            assert (path.total_distance,
+                                    path.success_probability) == \
+                                path_stats(hot, path.nodes)
 
 
 class TestStepHuman:

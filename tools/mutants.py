@@ -1,5 +1,5 @@
 """Run Tier-1 against one-line mutants of the episode tick, of sweep
-seeding and of task ordering.
+seeding, of task ordering and of the heat overlay.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -27,9 +27,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 SIM = "src/risknav/sim.py"
 PLANNER = "src/risknav/planner.py"
+ENV = "src/risknav/env.py"
 
 # (name, file, old text, new text); each changes one line of the tick,
-# of the seeding of a sweep chunk or of the task-order scorer
+# of the seeding of a sweep chunk, of the task-order scorer or of the
+# overlay's effective-success list
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -61,6 +63,9 @@ MUTANTS = (
     ("prefix product reset to 1", PLANNER,
      "total_prob, total_dist, at = p, d, 0",
      "total_prob, total_dist, at = 1.0, d, 0"),
+    ("overlay keeps base effective success", ENV,
+     "            self._effs[self._index[key]] = effective_success(row)\n",
+     "            pass\n"),
 )
 
 
