@@ -131,9 +131,10 @@ class EnvironmentGraph:
             self._adj[e.b].append((e.a, e))
         for lst in self._adj:
             lst.sort(key=lambda pair: pair[0])
-        # what a relaxation reads: edge numbers in edges order, effective
-        # success by number, and per node (neighbour, distance, number) rows
-        self._index = {key: i for i, key in enumerate(self.edges)}
+        # what a relaxation reads: edge numbers (and keys) in edges order,
+        # effective success by number, and per node (nbr, distance, number)
+        self._keys = list(self.edges)
+        self._index = {key: i for i, key in enumerate(self._keys)}
         self._effs = [effective_success(self.risk_table[e.risk])
                       for e in self.edges.values()]
         self._hops = [[(nbr, e.distance, self._index[e.key()])
@@ -216,14 +217,16 @@ class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
     Takes its topology (node_count, nodes, check_node, neighbors, edge,
-    edges, the edge numbers and the hop rows) from the base graph and
-    keeps the heated rows plus a copy of the base's effective-success
-    list with each heated edge's value written in.  Planner and validator
-    code accepts either graph type.  An overlay shares no memo: its
-    probabilities are not its base's.
+    edges, the edge numbers, their keys and the hop rows) from the base
+    graph and stores, as given, overrides (heated edge key -> row) and
+    effs, the base's effective-success list with each heated value
+    written in.  Overlays come from apply_heat, which names a missing
+    edge, a bad node or a bad heat, and computes both.  Planner and
+    validator code accepts either graph type.  An overlay shares no memo:
+    its probabilities are not its base's.
     """
 
-    def __init__(self, base, overrides):
+    def __init__(self, base, overrides, effs):
         self.base = base
         self.node_count = base.node_count
         self.nodes = base.nodes
@@ -231,12 +234,11 @@ class HeatedGraph:
         self.neighbors = base.neighbors
         self.edge = base.edge
         self.edges = base.edges
+        self._keys = base._keys
         self._index = base._index
         self._hops = base._hops
-        self.overrides = dict(overrides)
-        self._effs = base._effs.copy()
-        for key, row in self.overrides.items():
-            self._effs[self._index[key]] = effective_success(row)
+        self.overrides = overrides
+        self._effs = effs
 
     def memo(self, table):
         """A fresh table each call, so nothing derived here is kept."""

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import HeatedGraph, OutcomeProbs, _full, _is_number, _remember
+from .env import (HeatedGraph, OutcomeProbs, _full, _is_number, _remember,
+                  effective_success)
 from .planner import shortest_distance_path
 
 
@@ -95,14 +96,15 @@ def build_heat_map(g, h, params):
     zero-valued entries are dropped.
     """
     heat = {}
+    hops, keys = g._hops, g._keys
     if h.predicted_path is not None and params.path_heat > 0.0:
         for node in set(h.predicted_path):
-            for _, edge in g.neighbors(node):
-                heat[edge.key()] = params.path_heat
+            for _, _, i in hops[g.check_node(node)]:
+                heat[keys[i]] = params.path_heat
     spill = params.neighbor_heat * h.uncertainty
     if spill > 0.0:
-        for _, edge in g.neighbors(h.position):
-            key = edge.key()
+        for _, _, i in hops[g.check_node(h.position)]:
+            key = keys[i]
             if heat.get(key, 0.0) < spill:
                 heat[key] = spill
     return heat
@@ -113,69 +115,80 @@ def apply_heat(g, heat_map):
 
     The removed mass becomes retry and p_fail is untouched, so heat models
     temporary blockage, not added danger; a zero heat leaves a row as is.
-    Each key must name an edge and each heat be a number in [0, 1), on a
-    memo hit too; the heated row of each (risk class, heat) is memoized.
+    Each key must name an edge, either way round, and each heat be a
+    number in [0, 1), on a memo hit too.  A heated row and its effective
+    success are memoized per heat and edge number; the overlay gets the
+    rows and one patched copy of g's effective-success list.
     """
-    memo = g.memo("heated")
-    overrides = {}
+    index, keys = g._index, g._keys
+    effs, rows, last = g._effs.copy(), {}, None
     for key, h in heat_map.items():
         # only a pair of exact ints is looked up directly: (0, True) or
         # (0.0, 1) would hash like (0, 1); reversed pairs, misses and any
         # other key take the checked path, which names a bad node
-        edge = (g.edges.get(key) if type(key) is tuple and len(key) == 2
-                and type(key[0]) is int and type(key[1]) is int else None)
-        if edge is None:
+        i = (index.get(key) if type(key) is tuple and len(key) == 2
+             and type(key[0]) is int and type(key[1]) is int else None)
+        if i is None:
             try:
                 edge = g.edge(*key)
             except TypeError:  # a key that is not a pair of nodes
                 edge = None
-        if edge is None:
-            raise ValueError(f"heat on missing edge {key!r}")
+            if edge is None:
+                raise ValueError(f"heat on missing edge {key!r}")
+            i = index[edge.key()]
         # build_heat_map yields floats, so they skip the full type check
         if not (type(h) is float or _is_number(h)) or not 0.0 <= h < 1.0:
             raise ValueError(f"heat {h!r} outside [0, 1)")
         if h == 0.0:
             continue
-        row = memo.get((edge.risk, h))
-        if row is None:
-            p = g.probs(edge)
+        if h != last:  # a heat map mostly repeats one heat
+            memo = g.memo("heated")
+            last, per = h, memo.get(h)
+            if per is None:
+                per = _remember(memo, h, {})
+        hit = per.get(i)
+        if hit is None:
+            p = g.probs(g.edges[keys[i]])
             scaled = p.p_success * (1.0 - h)
-            row = _remember(memo, (edge.risk, h), OutcomeProbs(
-                scaled, p.p_retry + (p.p_success - scaled), p.p_fail))
-        overrides[edge.key()] = row
-    return HeatedGraph(g, overrides)
+            row = OutcomeProbs(scaled, p.p_retry + (p.p_success - scaled),
+                               p.p_fail)
+            hit = per[i] = (row, effective_success(row))
+        rows[keys[i]], effs[i] = hit
+    return HeatedGraph(g, rows, effs)
 
 
 class _Heat:
     """One heat map of a human table.
 
     items is the frozenset of its (edge key, heat) pairs, which keys a
-    step; map is the map itself.  Its heated rows are kept from the first
-    overlay on, but never an overlay, which would refer to the graph.
+    step; map is the map itself.  Its first overlay's rows and patched
+    list are kept for later overlays to share, but never an overlay,
+    which would refer to the graph.
     """
 
-    __slots__ = ("items", "map", "_rows", "_lowers")
+    __slots__ = ("items", "map", "_rows", "_effs", "_lowers")
 
     def __init__(self, heat_map):
         self.items = frozenset(heat_map.items())
         self.map = heat_map
         self._rows = None
+        self._effs = None
         self._lowers = None
 
     def overlay(self, g):
-        """apply_heat(g, map), with the rows of the first call."""
+        """apply_heat(g, map), with the rows and list of the first call."""
         if self._rows is None:
-            self._rows = apply_heat(g, self.map).overrides
-        return HeatedGraph(g, self._rows)
+            hot = apply_heat(g, self.map)
+            self._rows, self._effs = hot.overrides, hot._effs
+        return HeatedGraph(g, self._rows, self._effs)
 
     def lowers(self, g):
-        """Whether no heated edge's effective success is higher on the
-        map's overlay of g than on g; found on the first call."""
+        """Whether no edge's effective success is higher on the map's
+        overlay of g than on g; found on the first call."""
         if self._lowers is None:
-            hot = self.overlay(g)
-            edges = [g.edge(*key) for key in self.map]
-            self._lowers = all(hot.effective(e) <= g.effective(e)
-                               for e in edges)
+            self.overlay(g)
+            self._lowers = all(hot <= base
+                               for hot, base in zip(self._effs, g._effs))
         return self._lowers
 
 

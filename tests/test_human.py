@@ -5,7 +5,7 @@ import pytest
 
 from risknav import (Edge, EnvironmentGraph, HeatParams, HumanState,
                      OutcomeProbs, apply_heat, build_heat_map,
-                     effective_success, environment_from_dict,
+                     effective_success, env, environment_from_dict, human,
                      load_default_environment, max_success_path,
                      predict_human_path, step_human)
 from risknav.planner import Path, shortest_distance_path
@@ -128,6 +128,68 @@ class TestBuildHeatMap:
         assert build_heat_map(g, h, params) == {(1, 2): 0.5, (2, 3): 0.5}
 
 
+    @staticmethod
+    def rule(g, h, params):
+        # the heat rule over g.neighbors and each edge's key
+        heat = {}
+        if h.predicted_path is not None and params.path_heat > 0.0:
+            for node in set(h.predicted_path):
+                for _, edge in g.neighbors(node):
+                    heat[edge.key()] = params.path_heat
+        spill = params.neighbor_heat * h.uncertainty
+        if spill > 0.0:
+            for _, edge in g.neighbors(h.position):
+                if heat.get(edge.key(), 0.0) < spill:
+                    heat[edge.key()] = spill
+        return heat
+
+    def test_random_maps_follow_the_rule_in_its_order(self):
+        # list(items) pins the insertion order too, which repr shows
+        rng = np.random.default_rng(24)
+        heats = (0.0, 1e-16, 0.3, 0.6, 0.998)
+        for _ in range(80):
+            g = random_environment(rng, max_nodes=12)
+            walk = [int(rng.integers(g.node_count))]
+            for _ in range(int(rng.integers(0, 6))):
+                walk.append(int(rng.integers(g.node_count)))
+            u = float(rng.choice([0.0, 0.2, 1.0]))
+            h = HumanState(walk[0], None, u, tuple(walk)
+                           if rng.random() < 0.8 else None)
+            params = HeatParams(float(rng.choice(heats)),
+                                float(rng.choice(heats)))
+            hot = apply_heat(g, {next(iter(g.edges)): 0.5})
+            for graph in (g, hot):
+                assert list(build_heat_map(graph, h, params).items()) \
+                    == list(self.rule(g, h, params).items())
+
+    def test_a_bad_node_keeps_its_error_and_no_row_is_read_for_it(self):
+        class NonNegative(list):
+            def __getitem__(self, i):
+                assert i >= 0, f"hop rows read at {i!r}"
+                return super().__getitem__(i)
+
+        g = load_default_environment()
+        g._hops = NonNegative(g._hops)
+        errors = ((-1, "node -1 outside 0..29"),
+                  (30, "node 30 outside 0..29"),
+                  (True, "node True must be an int, not bool"),
+                  (np.int64(1), "node np.int64(1) must be an int, not int64"))
+        for bad, message in errors:
+            humans = ((HumanState(0, None, 0.5, (0, bad)), HeatParams()),
+                      (HumanState(bad, None, 0.5), HeatParams()),
+                      (HumanState(bad, None, 0.5, (bad,)),
+                       HeatParams(0.0, 0.6)))
+            for h, params in humans:
+                with pytest.raises(ValueError) as err:
+                    build_heat_map(g, h, params)
+                assert str(err.value) == message
+            # without path heat only the position is checked, as the rule
+            # reads no predicted node then
+            assert build_heat_map(g, HumanState(0, None, 0.5, (0, bad)),
+                                  HeatParams(0.0, 0.6)) \
+                == {(0, 1): 0.3, (0, 2): 0.3}
+
+
 class TestHeatedProbs:
     def test_success_mass_moves_to_retry(self):
         p = OutcomeProbs(0.9, 0.05, 0.05)
@@ -155,7 +217,7 @@ class TestApplyHeat:
         assert hot.effective(g.edge(1, 2)) < g.effective(g.edge(1, 2))
 
     def test_overlay_of_an_overlay_heats_twice(self):
-        # heated rows are memoized per (risk class, heat) on the base
+        # heated rows are memoized per heat and edge number on the base
         # graph only, so a second layer starts from the first one's rows
         g = environment_from_dict(line_doc())
         once = apply_heat(g, {(1, 2): 0.5})
@@ -223,7 +285,7 @@ class TestApplyHeat:
     def test_bad_keys_keep_their_errors_with_a_cold_and_a_warm_memo(self):
         g = load_default_environment()
         for warm in (False, True):
-            if warm:  # the row of (Low, 0.5) is now memoized
+            if warm:  # the row of edge (0, 1) at heat 0.5 is now memoized
                 apply_heat(g, {(0, 1): 0.5})
             for key, message in self.KEY_ERRORS:
                 with pytest.raises(ValueError) as err:
@@ -279,6 +341,93 @@ class TestOverlayTable:
                             assert (path.total_distance,
                                     path.success_probability) == \
                                 path_stats(hot, path.nodes)
+
+
+class TestHeatedRowMemo:
+    """apply_heat memoizes each heated row with its effective success per
+    heat and edge number; a _Heat keeps its first overlay's lists."""
+
+    HEATS = (0.0, 1e-16, 0.25, 0.5, 0.998)
+
+    def random_heat(self, rng, g):
+        # a few heat values per map, keys either way round
+        out = {}
+        for a, b in g.edges:
+            if rng.random() < 0.6:
+                key = (b, a) if rng.random() < 0.3 else (a, b)
+                out[key] = self.HEATS[int(rng.integers(len(self.HEATS)))]
+        return out
+
+    @staticmethod
+    def rule(g, heat_map):
+        # each heated row by the rule, and every edge's effective success
+        rows = {}
+        for key, h in heat_map.items():
+            edge = g.edge(*key)
+            if h:
+                p = g.probs(edge)
+                scaled = p.p_success * (1.0 - h)
+                rows[edge.key()] = OutcomeProbs(
+                    scaled, p.p_retry + (p.p_success - scaled), p.p_fail)
+        return rows, [effective_success(rows.get(k, g.probs(e)))
+                      for k, e in g.edges.items()]
+
+    def test_rows_and_lists_match_the_rule_cold_warm_and_stacked(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            g = random_environment(rng)
+            cold = EnvironmentGraph(g.node_count, g.risk_table,
+                                    list(g.edges.values()))
+            base = list(g._effs)
+            maps = [self.random_heat(rng, g) for _ in range(4)]
+            for heat_map in maps + maps:  # heats repeat across calls
+                hot = apply_heat(g, heat_map)
+                rows, effs = self.rule(g, heat_map)
+                assert (hot.overrides, hot._effs) == (rows, effs)
+                for e in g.edges.values():
+                    assert hot.effective(e) == effective_success(hot.probs(e))
+                twice = apply_heat(hot, maps[0])
+                assert (twice.overrides, twice._effs) == \
+                    self.rule(hot, maps[0])
+                assert hot._effs == effs and g._effs == base
+                # a graph whose memo is cold builds the same overlay
+                cold._memo.clear()
+                fresh = apply_heat(cold, heat_map)
+                assert (fresh.overrides, fresh._effs) == (rows, effs)
+
+    def test_a_heat_keeps_its_lists_and_its_lowers_matches_the_rule(self):
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            g = random_environment(rng)
+            base = list(g._effs)
+            for _ in range(3):
+                heat_map = self.random_heat(rng, g)
+                heat = human._Heat(heat_map)
+                first = heat.overlay(g)
+                kept = list(heat._effs)
+                again = heat.overlay(g)
+                assert again.overrides is heat._rows
+                assert again._effs is heat._effs
+                assert (again.overrides, again._effs) == \
+                    (first.overrides, first._effs)
+                apply_heat(again, self.random_heat(rng, g))
+                hot = apply_heat(g, heat_map)
+                assert heat.lowers(g) == all(
+                    hot.effective(g.edge(*key)) <= g.effective(g.edge(*key))
+                    for key in heat_map)
+                assert heat._effs == kept and g._effs == base
+
+    def test_the_memo_stays_bounded(self, monkeypatch):
+        limit = 5
+        monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
+        g = load_default_environment()
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            h = float(rng.random()) * 0.99
+            hot = apply_heat(g, {(0, 1): h, (1, 3): h, (0, 2): 0.5})
+            assert hot.overrides == self.rule(g, {(0, 1): h, (1, 3): h,
+                                                  (0, 2): 0.5})[0]
+            assert len(g._memo["heated"]) <= limit + 1
 
 
 class TestStepHuman:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from risknav import (EpisodeConfig, EpisodeOutcome, HeatedGraph, HeatParams,
+from risknav import (EpisodeConfig, EpisodeOutcome, HeatParams,
                      HumanState, apply_heat, build_heat_map, env,
                      environment_from_dict, human, load_default_environment,
                      load_default_mission, max_success_path,
@@ -544,7 +544,7 @@ class TestGraphMemo:
     def test_an_overlay_leaves_its_base_memo_empty(self):
         g = load_default_environment()
         mission = load_default_mission(g)
-        hot = HeatedGraph(g, {})
+        hot = apply_heat(g, {})
         max_success_path(hot, 25, 17)
         shortest_distance_path(hot, 25, 17)
         order_tasks(hot, mission, 25)

@@ -27,11 +27,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 SIM = "src/risknav/sim.py"
 PLANNER = "src/risknav/planner.py"
-ENV = "src/risknav/env.py"
+HUMAN = "src/risknav/human.py"
 
 # (name, file, old text, new text); each changes one line of the tick,
-# of the seeding of a sweep chunk, of the task-order scorer or of the
-# overlay's effective-success list
+# of the seeding of a sweep chunk, of the task-order scorer, of the
+# overlay's effective-success list or of the heated-row memo
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -63,9 +63,12 @@ MUTANTS = (
     ("prefix product reset to 1", PLANNER,
      "total_prob, total_dist, at = p, d, 0",
      "total_prob, total_dist, at = 1.0, d, 0"),
-    ("overlay keeps base effective success", ENV,
-     "            self._effs[self._index[key]] = effective_success(row)\n",
-     "            pass\n"),
+    ("overlay keeps base effective success", HUMAN,
+     "        rows[keys[i]], effs[i] = hit\n",
+     "        rows[keys[i]] = hit[0]\n"),
+    ("memo keeps the unheated effective success", HUMAN,
+     "hit = per[i] = (row, effective_success(row))",
+     "hit = per[i] = (row, effective_success(p))"),
 )
 
 
