@@ -26,7 +26,7 @@ DEFAULT_RISK_TABLE = {
 }
 
 PROB_SUM_TOL = 1e-12
-MAX_TASKS = 10  # 11 tasks would take order_tasks about 5 s per start
+MAX_TASKS = 10  # 11 tasks would take order_tasks about 1.4 s per start
 _STEP_MEMO_LIMIT = 200_000  # a per-tick memo table is cleared past this size
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .env import (HeatedGraph, OutcomeProbs, _full, _is_number, _remember,
                   effective_success)
-from .planner import shortest_distance_path
+from .planner import _best
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,11 @@ def predict_human_path(g, h):
     to its goal, or its position alone (stay put) when it has no goal."""
     if h.goal is None:
         return (g.check_node(h.position),)
-    path = shortest_distance_path(g, h.position, h.goal)
-    if path is None:
+    hit = _best(g, h.position, h.goal, by_distance=True)
+    if hit is None:
         raise ValueError(f"human goal {h.goal} unreachable from "
                          f"position {h.position}")
-    return path.nodes
+    return hit[2]
 
 
 def build_heat_map(g, h, params):

@@ -7,13 +7,15 @@ candidates are ordered by (objective, then distance for the probability
 planner, then the node sequence itself).
 
 On a base graph each objective runs one full search per source and
-memoizes it as a tree of paths to every reachable node; on a heat overlay
-the search stops at the goal.  Task ordering reads its legs from the
-max-success trees of its start and of each task, and one exhaustive
-scorer covers every accepted task count.  Every memo is a g.memo
-table: search trees per objective and source, and mission plans per
-(tasks, end node, start).  A heat overlay's tables are never kept, and
-the permutation table of up to 8 tasks is kept per process, not per graph.
+memoizes it as a tree of the search's entries for every reachable node;
+on a heat overlay the search stops at the goal.  A Path is built only
+where a caller returns one: internal callers read the entries.  Task
+ordering reads its legs from the max-success trees of its start and of
+each task, and one exhaustive scorer covers every accepted task count.
+Every memo is a g.memo table: search trees per objective and source, and
+mission plans per (tasks, end node, start).  A heat overlay's tables are
+never kept, and the order tables of up to 8 tasks are kept per process,
+not per graph.
 """
 
 from __future__ import annotations
@@ -104,21 +106,19 @@ def _search(g, start, goal=None, by_distance=False):
 
 
 def _to_path(entry):
-    _, dist, seq, prob = entry
-    return Path(seq, dist, prob)
+    """The Path of a search entry, or None for no entry."""
+    return None if entry is None else Path(entry[2], entry[1], entry[3])
 
 
 def _tree(g, start, by_distance=False):
-    """{target: Path} for every node reachable from start.
+    """_search's {node: (key, dist, seq, prob)} of every node start reaches.
 
     Memoized per start and objective in g.memo, kept on a base graph only.
     """
     cache = g.memo("dist" if by_distance else "prob")
     tree = cache.get(start)
     if tree is None:
-        tree = cache[start] = {
-            node: _to_path(entry)
-            for node, entry in _search(g, start, None, by_distance).items()}
+        tree = cache[start] = _search(g, start, None, by_distance)
     return tree
 
 
@@ -131,35 +131,34 @@ def _heat_proof_path(g, start, goal, heated):
     success it must never raise.  Every path's key is then at least its
     key on g, and equal off heated edges, so the overlay's search pops
     g's entries in order until one crosses a heated edge: it is enough
-    that no node popped up to goal is reached in the tree through a
-    heated edge.  Avoiding heated edges alone is not: when floats round
-    two probabilities together, a heated edge can let the overlay's
-    search keep a walk that g's search dropped.
+    that no tree entry up to goal's, in (-probability, distance, nodes)
+    order, ends in a heated edge.  Avoiding heated edges alone is not:
+    when floats round two probabilities together, a heated edge can let
+    the overlay's search keep a walk that g's search dropped.
     """
     tree = g.memo("prob").get(start)
-    path = None if tree is None else tree.get(goal)
-    if path is None:
+    entry = None if tree is None else tree.get(goal)
+    if entry is None:
         return None
-    bound = (-path.success_probability, path.total_distance, path.nodes)
     for a, b in heated:
         for src, dst in ((a, b), (b, a)):
             hit = tree.get(dst)
-            if (hit is not None and hit.nodes[-2:-1] == (src,)
-                    and (-hit.success_probability, hit.total_distance,
-                         hit.nodes) <= bound):
+            if hit is not None and hit[2][-2:-1] == (src,) and hit <= entry:
                 return None
-    return path
+    return _to_path(entry)
 
 
-def _best_path(g, start, goal, by_distance):
-    # base graphs read the memoized tree of start; heat overlays stop the
-    # search at goal
+def _best(g, start, goal, by_distance):
+    """_search's entry for the best path from start to goal, or None.
+
+    Base graphs read the memoized tree of start; heat overlays stop the
+    search at goal.
+    """
     g.check_node(start)
     g.check_node(goal)
     if isinstance(g, EnvironmentGraph):
         return _tree(g, start, by_distance).get(goal)
-    hit = _search(g, start, goal, by_distance).get(goal)
-    return None if hit is None else _to_path(hit)
+    return _search(g, start, goal, by_distance).get(goal)
 
 
 def shortest_distance_path(g, start, goal):
@@ -168,7 +167,7 @@ def shortest_distance_path(g, start, goal):
     Among equal-distance paths the lexicographically smallest node
     sequence wins.
     """
-    return _best_path(g, start, goal, by_distance=True)
+    return _to_path(_best(g, start, goal, by_distance=True))
 
 
 def max_success_path(g, start, goal):
@@ -177,7 +176,7 @@ def max_success_path(g, start, goal):
     Ties on probability break by smaller total distance, then by the
     lexicographically smallest node sequence.
     """
-    return _best_path(g, start, goal, by_distance=False)
+    return _to_path(_best(g, start, goal, by_distance=False))
 
 
 @dataclass(frozen=True)
@@ -191,12 +190,13 @@ class MissionPlan:
     plan_distance: float
 
 
-def _compose(legs):
+def _compose(entries):
+    # the legs' search entries folded left to right
     prob = 1.0
     dist = 0.0
-    for leg in legs:
-        prob = prob * leg.success_probability
-        dist = dist + leg.total_distance
+    for _, d, _, p in entries:
+        prob = prob * p
+        dist = dist + d
     return prob, dist
 
 
@@ -244,13 +244,10 @@ def order_tasks(g, mission, from_node):
     order = _best_order([trees[s] for s in sources], mission.tasks,
                         mission.end)
 
-    legs = []
-    here = from_node
-    for t in order + (mission.end,):
-        legs.append(trees[here][t])
-        here = t
+    stops = order + (mission.end,)
+    legs = [trees[a][b] for a, b in zip((from_node,) + order, stops)]
     prob, dist = _compose(legs)
-    plan = memo[key] = MissionPlan(order + (mission.end,), tuple(legs),
+    plan = memo[key] = MissionPlan(stops, tuple(map(_to_path, legs)),
                                    prob, dist)
     return plan
 
@@ -264,8 +261,7 @@ def _best_order(trees, tasks, end):
     # its product and distance; trees[0] is from_node's, trees[j + 1] task j's
     k = len(tasks)
     m = min(k, 8)
-    perms = _permutations(m)
-    cols = [*perms.T, np.full(len(perms), m, dtype=np.int8)]
+    perms, gather = _permutations(m)
     keys = []
     for prefix in itertools.permutations(range(k), k - m):
         here = (0, *(j + 1 for j in prefix))
@@ -275,15 +271,14 @@ def _best_order(trees, tasks, end):
         # rest[i - 1]; column i: legs to task rest[i], or to end when i == m
         sources = [trees[here[-1]]] + [trees[j + 1] for j in rest]
         targets = [tasks[j] for j in rest] + [end]
-        prob = np.array([[tree[t].success_probability for t in targets]
-                         for tree in sources])
-        dist = np.array([[tree[t].total_distance for t in targets]
-                         for tree in sources])
-        total_prob, total_dist, at = p, d, 0
-        for col in cols:
-            total_prob = total_prob * prob[at, col]
-            total_dist = total_dist + dist[at, col]
-            at = col + 1
+        prob = np.array([[tree[t][3] for t in targets] for tree in sources])
+        dist = np.array([[tree[t][1] for t in targets] for tree in sources])
+        # the same products and sums, left to right, as one fold per leg
+        total_prob = p * prob.take(gather[0])
+        total_dist = d + dist.take(gather[0])
+        for ix in gather[1:]:
+            total_prob *= prob.take(ix)
+            total_dist += dist.take(ix)
         top = np.flatnonzero(total_prob == total_prob.max())
         top = top[total_dist[top] == total_dist[top].min()]
         head = [tasks[j] for j in prefix]
@@ -295,13 +290,24 @@ def _best_order(trees, tasks, end):
 
 @functools.cache
 def _permutations(k):
-    """Every permutation of range(k), one per row, as a read-only array.
+    """(perms, gather), both read-only: every permutation of range(k), one
+    per row, and the flat indices into a (k + 1) x (k + 1) leg table of
+    each order's legs, one row per leg.
 
-    Cached in the module rather than in g.memo: the table depends on k
-    alone, not on any graph.  k is at most 8, so int8 entries suffice.
+    Leg i of an order runs from row at (0 for the start, r + 1 after task
+    r) to column col (task perms[:, i], or k for the end), at flat index
+    at * (k + 1) + col.  Cached in the module rather than in g.memo: the
+    tables depend on k alone, not on any graph.  k is at most 8, so int8
+    entries suffice for perms.
     """
     import numpy as np
 
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
-    perms.flags.writeable = False
-    return perms
+    gather = np.full((k + 1, len(perms)), k, dtype=np.intp)
+    gather[:k] = perms.T
+    # last row first, so row i - 1 still holds its column
+    for i in range(k, 0, -1):
+        gather[i] += (k + 1) * (gather[i - 1] + 1)
+    for table in (perms, gather):
+        table.flags.writeable = False
+    return perms, gather

@@ -22,8 +22,8 @@ from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown, _remember)
 from .human import HeatParams, HumanState, _human_table, _predicted
-from .planner import (_heat_proof_path, check_reachable, max_success_path,
-                      order_tasks, shortest_distance_path)
+from .planner import (_best, _heat_proof_path, _to_path, check_reachable,
+                      max_success_path, order_tasks)
 
 HOLD_TIMEOUT = "hold_timeout"
 CATASTROPHIC = "catastrophic"
@@ -185,11 +185,12 @@ class EpisodeOutcome:
 
 def _redirect_target(g, mission, human_pos, robot_path_nodes):
     """The human's leg to the nearest safe location by distance that is
-    off the robot's path (ties to the smaller node id), or None."""
-    legs = [shortest_distance_path(g, human_pos, s)
+    off the robot's path (ties to the smaller node id), or None.  Only the
+    winner's Path is built."""
+    legs = [_best(g, human_pos, s, by_distance=True)
             for s in mission.safe_locations if s not in robot_path_nodes]
-    return min((leg for leg in legs if leg is not None), default=None,
-               key=lambda leg: (leg.total_distance, leg.nodes[-1]))
+    return _to_path(min((leg for leg in legs if leg is not None),
+                        default=None, key=lambda leg: (leg[1], leg[2][-1])))
 
 
 def _plan_step(g, robot, target, heat):

@@ -10,15 +10,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from risknav import (MissionPlan, MissionSpec, UnreachableNodeError,
-                     environment_from_dict, max_success_path, order_tasks,
-                     path_from_nodes, shortest_distance_path)
+from risknav import (MissionPlan, MissionSpec, Path, UnreachableNodeError,
+                     environment_from_dict, load_default_environment,
+                     max_success_path, order_tasks, path_from_nodes, planner,
+                     shortest_distance_path)
 from risknav.human import (HeatParams, HumanState, apply_heat,
                            build_heat_map, predict_human_path)
 from risknav.planner import _heat_proof_path, _permutations, check_reachable
+from risknav.sim import _redirect_target
 
-from conftest import (oracle_max_success, oracle_shortest, path_stats,
-                      random_connected_doc, random_environment)
+from conftest import (RISK_CLASSES, oracle_max_success, oracle_shortest,
+                      path_stats, random_connected_doc, random_environment)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -172,6 +174,67 @@ class TestMaxSuccessPath:
                     assert (found.total_distance, found.success_probability) \
                         == path_stats(graph, expect)
 
+
+
+class TestPathsFromEntries:
+    """Trees hold search entries; every caller that returns a Path builds
+    the same Path as before, and a cold plan builds no other."""
+
+    def test_returned_paths_equal_their_node_stats(self):
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            g = random_environment(rng, max_nodes=7)
+            heat = {k: float(rng.uniform(0.0, 0.99)) for k in g.edges
+                    if rng.random() < 0.4}
+            hot = apply_heat(g, heat)
+            safe = tuple(int(v) for v in rng.choice(
+                g.node_count, min(3, g.node_count), replace=False))
+            mission = MissionSpec(None, (), safe[0], safe)
+            for s, t in itertools.product(g.nodes, g.nodes):
+                found = [plan(graph, s, t) for graph in (g, hot) for plan in
+                         (max_success_path, shortest_distance_path)]
+                found.append(_heat_proof_path(g, s, t, heat))
+                found.append(_redirect_target(g, mission, s, (t,)))
+                for path, graph in zip(found, (g, g, hot, hot, g, g)):
+                    assert path is None or path == Path(
+                        path.nodes, *path_stats(graph, path.nodes))
+                assert found[4] in (None, found[0])
+                legs = [shortest_distance_path(g, s, x) for x in safe
+                        if x != t]
+                assert found[5] == min(
+                    legs, default=None,
+                    key=lambda leg: (leg.total_distance, leg.nodes[-1]))
+                assert predict_human_path(g, HumanState(s, t)) \
+                    == found[1].nodes
+
+    def test_plan_legs_are_the_max_success_paths(self, default_env,
+                                                 default_mission):
+        rng = np.random.default_rng(27)
+        maps = [(random_environment(rng, max_nodes=8), None)
+                for _ in range(20)] + [(default_env, default_mission)]
+        for g, mission in maps:
+            if mission is None:
+                nodes = [int(v) for v in rng.permutation(g.node_count)]
+                k = int(rng.integers(0, min(5, g.node_count)))
+                mission = MissionSpec(None, tuple(nodes[:k]), nodes[k], ())
+            for start in g.nodes:
+                plan = order_tasks(g, mission, start)
+                stops = (start,) + plan.ordered_tasks
+                assert all(type(leg) is Path for leg in plan.legs)
+                assert plan.legs == tuple(max_success_path(g, a, b)
+                                          for a, b in zip(stops, stops[1:]))
+
+    def test_a_cold_plan_builds_only_its_legs(self, monkeypatch,
+                                              default_mission):
+        built = []
+        to_path = planner._to_path
+        monkeypatch.setattr(planner, "_to_path",
+                            lambda entry: built.append(entry)
+                            or to_path(entry))
+        g = load_default_environment()
+        plan = order_tasks(g, default_mission, 25)
+        assert len(plan.legs) == len(default_mission.tasks) + 1
+        assert [to_path(entry) for entry in built] == list(plan.legs)
 
 
 def crosses(nodes, heat):
@@ -377,6 +440,36 @@ class TestOrderTasks:
         doc["edges"] = [[a, b, 1.0, "Low"] for a, b, _, _ in doc["edges"]]
         assert self.check_every_start(environment_from_dict(doc), rng, 9) > 0
 
+    def test_tie_prone_legs_match_the_oracle(self):
+        # complete maps of k + 2 nodes whose edges draw their success from
+        # four of six values and their length from {1, 2}: the legs are
+        # products and sums of a few values, so many orders tie on
+        # probability and distance, and at k = 9 the first task is folded
+        # apart from the table of the other 8
+        rng = np.random.default_rng(25)
+        values = [0.36, 0.5, 0.65, 0.7, 0.84, 1.0]
+        reordered = 0
+        for k in (7, 8, 9):
+            risks = rng.choice(values, 4, replace=False)
+            g = environment_from_dict({
+                "nodes": k + 2,
+                "risk_table": {name: [float(v), 0.0]
+                               for name, v in zip(RISK_CLASSES, risks)},
+                "edges": [[a, b, float(rng.integers(1, 3)),
+                           RISK_CLASSES[int(rng.integers(4))]]
+                          for a, b in itertools.combinations(range(k + 2),
+                                                             2)]})
+            nodes = [int(v) for v in rng.permutation(g.node_count)]
+            tasks, end = tuple(nodes[:k]), nodes[k]
+            legs = {(a, b): max_success_path(g, a, b)
+                    for a in g.nodes for b in g.nodes}
+            for start in rng.choice(g.node_count, 3, replace=False):
+                plan = order_tasks(g, self.mission(tasks, end), int(start))
+                expect, first_tied = oracle_plan(legs, tasks, end, start)
+                assert plan == expect
+                reordered += first_tied != expect.ordered_tasks
+        assert reordered > 0
+
     def test_ten_tasks_find_an_order_past_the_first_prefix(self):
         # a Low line 0-1-...-11 and a short Severe edge 0-10: only the line
         # order crosses no Severe edge and no Low edge twice, so it is the
@@ -465,11 +558,20 @@ class TestCheckReachable:
 class TestPermutations:
     def test_every_order_once_and_read_only(self):
         for k in range(9):
-            perms = _permutations(k)
+            perms, gather = _permutations(k)
             rows = {tuple(row) for row in perms.tolist()}
             assert perms.shape == (math.factorial(k), k)
             assert len(rows) == math.factorial(k)
             assert all(sorted(row) == list(range(k)) for row in rows)
-            with pytest.raises(ValueError, match="read-only"):
-                perms[...] = 0
-            assert _permutations(k) is perms
+            # leg i of an order runs from the start (row 0) or task
+            # perms[:, i - 1] (row perms + 1) to task perms[:, i] or the end
+            # (column k), flattened row-major
+            stops = [[-1, *row, k] for row in perms.tolist()]
+            assert gather.T.tolist() == [
+                [(a + 1) * (k + 1) + b for a, b in zip(row, row[1:])]
+                for row in stops]
+            for table in (perms, gather):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[...] = 0
+            assert _permutations(k)[0] is perms
+            assert _permutations(k)[1] is gather

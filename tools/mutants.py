@@ -30,8 +30,8 @@ PLANNER = "src/risknav/planner.py"
 HUMAN = "src/risknav/human.py"
 
 # (name, file, old text, new text); each changes one line of the tick,
-# of the seeding of a sweep chunk, of the task-order scorer, of the
-# overlay's effective-success list or of the heated-row memo
+# of the seeding of a sweep chunk, of the task-order scorer or its gather
+# table, of the overlay's effective-success list or of the heated-row memo
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -52,8 +52,8 @@ MUTANTS = (
      "        draw = rng.random()\n",
      "        draw = rng.random(); holds = 0\n"),
     ("redirect tie-break reversed", SIM,
-     "key=lambda leg: (leg.total_distance, leg.nodes[-1]))",
-     "key=lambda leg: (leg.total_distance, -leg.nodes[-1]))"),
+     "key=lambda leg: (leg[1], leg[2][-1])))",
+     "key=lambda leg: (leg[1], -leg[2][-1])))"),
     ("increment loses its odd bit", SIM,
      "inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128",
      "inc = ((i0 << 64 | i1) << 1) & _MASK128"),
@@ -61,8 +61,11 @@ MUTANTS = (
      "for j in range(lo, hi)]",
      "for j in range(hi - lo)]"),
     ("prefix product reset to 1", PLANNER,
-     "total_prob, total_dist, at = p, d, 0",
-     "total_prob, total_dist, at = 1.0, d, 0"),
+     "total_prob = p * prob.take(gather[0])",
+     "total_prob = 1.0 * prob.take(gather[0])"),
+    ("gather row read at the column", PLANNER,
+     "(k + 1) * (gather[i - 1] + 1)",
+     "(k + 1) * gather[i - 1]"),
     ("overlay keeps base effective success", HUMAN,
      "        rows[keys[i]], effs[i] = hit\n",
      "        rows[keys[i]] = hit[0]\n"),
