@@ -160,15 +160,17 @@ def apply_heat(g, heat_map):
 class _Heat:
     """One heat map of a human table.
 
-    items is the frozenset of its (edge key, heat) pairs, which keys a
-    step; map is the map itself.  Its first overlay's rows and patched
-    list are kept for later overlays to share, but never an overlay,
-    which would refer to the graph.
+    id is its number in the table, which sets it; items is the frozenset
+    of its (edge key, heat) pairs, which keys a step; map is the map
+    itself.  Its first overlay's rows and patched list are kept for later
+    overlays to share, but never an overlay, which would refer to the
+    graph.
     """
 
-    __slots__ = ("items", "map", "_rows", "_effs", "_lowers")
+    __slots__ = ("id", "items", "map", "_rows", "_effs", "_lowers")
 
     def __init__(self, heat_map):
+        self.id = None
         self.items = frozenset(heat_map.items())
         self.map = heat_map
         self._rows = None
@@ -198,32 +200,57 @@ class _HumanTable:
     Row i of rows is [state i, the id of its follow successor, the ids of
     its divergence successors by neighbour index, its _Heat under params],
     each filled when first needed; states with equal heat maps share one
-    _Heat.  Past _STEP_MEMO_LIMIT rows, the ids, rows and heats are
-    dropped together, since rows hold ids; only the id that the latest
-    intern or step returned stays valid, so a caller keeps that one.  The
-    graph's memo holds the table, and the table never refers to the
-    graph: each call that reads it takes g.
+    _Heat.  A divergence successor is predicted once per (new position,
+    goal, uncertainty), whichever state diverged there.  Past
+    _STEP_MEMO_LIMIT rows, the ids, rows and heats are dropped together,
+    since rows hold ids; only the id that the latest intern or step
+    returned stays valid, so a caller keeps that one.  A pinned table is
+    never dropped by an intern: its holder keeps many ids and calls
+    reintern between its steps instead.
+
+    The lockstep sweep engine keeps its int columns of the rows in cols
+    and its numbered steps in steps; both go with the rows.  The graph's
+    memo holds the table, and the table never refers to the graph: each
+    call that reads it takes g.
     """
 
-    __slots__ = ("params", "ids", "rows", "heats")
+    __slots__ = ("params", "pinned", "ids", "rows", "heats", "diverged",
+                 "cols", "steps")
 
     def __init__(self, params):
         self.params = params
+        self.pinned = False
         self.ids = {}
         self.rows = []
         self.heats = {}
+        self.diverged = {}
+        self.cols = None
+        self.steps = None
+
+    def clear(self):
+        """Drop every row, id, heat and column, keeping the containers
+        that callers may hold."""
+        for table in (self.ids, self.rows, self.heats, self.diverged):
+            table.clear()
+        self.cols = None
+        self.steps = None
 
     def intern(self, h):
         """The id of state h, given a new row if h is new."""
         hid = self.ids.get(h)
         if hid is None:
-            if _full(self.rows):
-                self.ids.clear()
-                self.rows.clear()
-                self.heats.clear()
+            if _full(self.rows) and not self.pinned:
+                self.clear()
             hid = self.ids[h] = len(self.rows)
             self.rows.append([h, None, None, None])
         return hid
+
+    def reintern(self, hids):
+        """Drop a full table but the states of hids; returns a dict from
+        each of hids to the id of its state in the emptied table."""
+        states = {hid: self.rows[hid][0] for hid in hids}
+        self.clear()
+        return {hid: self.intern(h) for hid, h in states.items()}
 
     def step(self, g, hid, rng):
         """The id of the human one tick after state hid.
@@ -233,30 +260,54 @@ class _HumanTable:
         only on a node with neighbours; otherwise it follows.
         """
         row = self.rows[hid]
-        h = row[0]
-        u = h.uncertainty
+        u = row[0].uncertainty
         if u > 0.0 and rng.random() < u:
             out = row[2]
             if out is None:
-                out = row[2] = [None] * len(g.neighbors(h.position))
+                out = self._out(g, row)
             if not out:
                 return hid
             k = rng.integers(len(out))
             nxt = out[k]
-            if nxt is None:
-                nbr = g.neighbors(h.position)[k][0]
-                nxt = out[k] = self.intern(_predicted(g, nbr, h.goal, u))
-            return nxt
+            return self.diverge(g, hid, k) if nxt is None else nxt
         nxt = row[1]
-        if nxt is None:
-            nxt = row[1] = self.intern(_follow(g, h))
-        return nxt
+        return self.follow(g, hid) if nxt is None else nxt
+
+    def _out(self, g, row):
+        """The row's divergence successors by neighbour index, made when
+        first needed."""
+        if row[2] is None:
+            row[2] = [None] * len(g._hops[row[0].position])
+        return row[2]
+
+    def follow(self, g, hid):
+        """The id of state hid's follow successor, filled when needed."""
+        row = self.rows[hid]
+        if row[1] is None:
+            row[1] = self.intern(_follow(g, row[0]))
+        return row[1]
+
+    def diverge(self, g, hid, k):
+        """The id of state hid's divergence successor toward its k-th
+        neighbour, filled when needed."""
+        row = self.rows[hid]
+        out = self._out(g, row)
+        if out[k] is None:
+            h = row[0]
+            key = (g._hops[h.position][k][0], h.goal, h.uncertainty)
+            nxt = self.diverged.get(key)
+            if nxt is None:
+                nxt = self.intern(_predicted(g, *key))
+                self.diverged[key] = nxt
+            out[k] = nxt
+        return out[k]
 
     def heat(self, g, hid):
         """The _Heat of state hid under params."""
         row = self.rows[hid]
         if row[3] is None:
             heat = _Heat(build_heat_map(g, row[0], self.params))
+            heat.id = len(self.heats)
             row[3] = self.heats.setdefault(heat.items, heat)
         return row[3]
 

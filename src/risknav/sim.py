@@ -8,13 +8,18 @@ single redirect request per hold episode and eventually a hold timeout.
 
 Sweeps repeat episodes across uncertainty levels with per-episode seeds
 derived from (base seed, level index, episode index), so results are
-independent of worker count and chunking.
+independent of worker count and batching.  run_episode runs the scalar
+tick loop, _ticks.  A sweep runs jobs of up to _BATCH episodes of a
+level, made as they run; _lockstep steps a job's episodes together, one
+numpy step per tick for every live episode, with exactly the draws of
+the scalar loop, and hands its long runs and its last episodes to
+_ticks, so both engines give the same CSV byte for byte.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -50,6 +55,8 @@ def derive_seed(base_seed, level_index, episode_index):
     """Per-episode seed stream: splitmix64 over (base, level, episode).
 
     Seeds are below 2**64; base seeds congruent mod 2**64 share a stream.
+    episode_index may also be a numpy uint64 array, which gives the array
+    of its episodes' seeds.
     """
     z = _splitmix64(base_seed & _MASK64)
     z = _splitmix64(z ^ ((level_index * 0x9E3779B97F4A7C15) & _MASK64))
@@ -103,7 +110,9 @@ class _Draws:
     integers(n) is Lemire's bounded method on 32-bit draws.  A 32-bit draw
     takes the low half of a word and keeps the high half for the next one;
     random() does not touch the kept half, as in numpy's PCG64.  A sweep
-    chunk reseeds one _Draws per episode from _pcg64_states.
+    batch reseeds one _Draws per episode from _pcg64_states and reads its
+    first block, and resume hands the rest of the stream to the scalar
+    loop.
     """
 
     __slots__ = ("_bits", "_words", "_half")
@@ -121,6 +130,13 @@ class _Draws:
         self._bits.state = {"bit_generator": "PCG64", "state": state,
                             "has_uint32": 0, "uinteger": 0}
         self._words, self._half = [], None
+
+    def resume(self, read, unread, half):
+        """Go on from a block of read raw words taken after the last
+        reseed, with unread the words not read yet and half the kept
+        32-bit half or None."""
+        self._bits.advance(read)
+        self._words, self._half = unread[::-1], half
 
     def _word(self):
         if not self._words:
@@ -193,9 +209,23 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                         default=None, key=lambda leg: (leg[1], leg[2][-1])))
 
 
+def _redirected(g, mission, human, nodes):
+    """human sent along its _redirect_target off nodes, as a HumanState,
+    or None; memoized in g.memo per (safe locations, position,
+    uncertainty, nodes)."""
+    memo = g.memo("redirect")
+    key = (mission.safe_locations, human.position, human.uncertainty, nodes)
+    moved = memo.get(key, False)
+    if moved is False:
+        leg = _redirect_target(g, mission, human.position, nodes)
+        moved = _remember(memo, key, None if leg is None else HumanState(
+            human.position, leg.nodes[-1], human.uncertainty, leg.nodes))
+    return moved
+
+
 def _plan_step(g, robot, target, heat):
-    """The step toward target under a human table's _Heat: the
-    max-success path on the heated map, the heated outcome row of its
+    """The step toward target under a human table's _Heat: the nodes of
+    the max-success path on the heated map, the heated outcome row of its
     first edge and that row's effective success.
 
     When g already holds the tree of robot, the planner proves the heated
@@ -210,15 +240,15 @@ def _plan_step(g, robot, target, heat):
         if path is None:
             raise RuntimeError(f"objective {target} unreachable from {robot}")
     edge = g.edge(robot, path.nodes[1])
-    return path, hot.probs(edge), hot.effective(edge)
+    return path.nodes, hot.probs(edge), hot.effective(edge)
 
 
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
     The human is an id in g's table of human states for cfg.heat, which
-    holds each state's successors and heat map.  The step (the
-    max-success path on the heated map, the heated outcome row of its
+    holds each state's successors and heat map.  The step (the nodes of
+    the max-success path on the heated map, the heated outcome row of its
     first edge and that row's effective success) is memoized in g.memo
     per robot, objective and heat map.  A base graph shares both with
     every episode it runs; a heat overlay keeps them for one episode.
@@ -226,8 +256,8 @@ def run_episode(cfg):
     mission threshold.  Only a redirect gives the human a goal, a safe
     spot; a step keeps it.  Draws come from _Draws(cfg.seed), which gives
     what np.random.default_rng(cfg.seed) would; the episode and the human
-    table call only its random() and integers(n).  A sweep chunk runs the
-    same body on one _Draws reseeded per episode.
+    table call only its random() and integers(n).  A sweep batch makes
+    the same draws, stepping its episodes in lockstep.
     """
     return _episode(cfg, _Draws(cfg.seed))
 
@@ -242,19 +272,20 @@ def _episode(cfg, rng):
     else:
         robot = rng.integers(g.node_count)
     table = _human_table(g, cfg.heat)
-    rows = table.rows
     hid = table.intern(_predicted(g, rng.integers(g.node_count), None,
                                   cfg.uncertainty))
-
     route = order_tasks(g, mission, robot).ordered_tasks
-    step_memo = g.memo("step")
-    idx = 0
-    steps = 0
-    redirects = 0
-    holds = 0
-    redirect_tried = False
-    settled = 0
+    return _ticks(g, mission, table, rng, route, robot, hid)
 
+
+def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
+           redirects=0, holds=0, redirect_tried=False, settled=0):
+    """The rest of an episode from the start of a tick, given its state:
+    the robot, its route and the index of its objective, the human's id
+    in table, and the counters.  This scalar loop is the reference that
+    the lockstep engine of a sweep reproduces."""
+    rows = table.rows
+    step_memo = g.memo("step")
     while True:
         while idx < len(route) and robot == route[idx]:
             idx += 1
@@ -277,8 +308,8 @@ def _episode(cfg, rng):
         if step is None:
             step = _remember(step_memo, key,
                              _plan_step(g, robot, target, heat))
-        path, probs, eff = step
-        nxt = path.nodes[1]
+        nodes, probs, eff = step
+        nxt = nodes[1]
 
         if eff < mission.threshold:
             holds += 1
@@ -290,12 +321,9 @@ def _episode(cfg, rng):
                     and (human.goal is None or settled >= 2)
                     and (robot in human.predicted_path
                          or nxt in human.predicted_path)):
-                leg = _redirect_target(g, mission, human.position,
-                                       path.nodes)
-                if leg is not None:
-                    hid = table.intern(HumanState(
-                        human.position, leg.nodes[-1], human.uncertainty,
-                        leg.nodes))
+                moved = _redirected(g, mission, human, nodes)
+                if moved is not None:
+                    hid = table.intern(moved)
                     redirects += 1
                 redirect_tried = True
             if holds >= mission.hold_limit:
@@ -313,6 +341,10 @@ def _episode(cfg, rng):
         elif draw >= probs.p_success + probs.p_retry:
             return EpisodeOutcome(False, CATASTROPHIC, steps, redirects,
                                   robot)
+
+
+# A sweep job is a batch of up to this many episodes of one level.
+_BATCH = 1000
 
 
 @dataclass(frozen=True)
@@ -344,15 +376,17 @@ def _sweep_chunk(job):
 
 
 def _run_chunk(levels, level_index, lo, hi):
+    # numpy and the lockstep engine load with the first job
+    import numpy as np
+
+    from . import _lockstep
+
     level = levels[level_index]
-    rng = _Draws(0)
-    tally = Counter()
-    for state in _pcg64_states([derive_seed(level.seed, level_index, j)
-                                for j in range(lo, hi)]):
-        rng.reseed(state)
-        out = _episode(level, rng)
-        tally[out.failure_cause, out.redirects] += 1
-    return level_index, tally
+    seeds = derive_seed(level.seed, level_index,
+                        np.arange(lo, hi, dtype=np.uint64))
+    return level_index, Counter(
+        (cause, redirects) for _, cause, _, redirects, _
+        in _lockstep.outcomes(level, seeds))
 
 
 def _sweep_row(u, tally):
@@ -370,9 +404,11 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
     """Sweep uncertainty levels; returns one SweepRow per level.
 
     Level u runs as the EpisodeConfig replace(base, uncertainty=u), with seeds
-    fixed by (base.seed, level index, episode index) alone.  Each chunk of
-    episodes returns a Counter of (failure cause, redirects); a level's chunks
-    add up to one Counter, from which its row is derived, so the report is
+    fixed by (base.seed, level index, episode index) alone.  A job is a
+    batch of up to _BATCH episodes of a level, stepped in lockstep, and
+    returns a Counter of (failure cause, redirects).  Jobs are made as they
+    are run, with at most two per worker in flight, and a level's Counters
+    add up to one, from which its row is derived, so the report is
     identical for any worker count.  Raises UnreachableNodeError before the
     first episode when some possible start cannot reach a task or the end node.
     """
@@ -387,27 +423,33 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         raise ValueError("workers must be an integer of at least 1")
     check_reachable(base.environment, base.mission)
 
-    chunk = 250
-    jobs = []
-    for i in range(len(levels)):
-        for lo in range(0, episodes_per_level, chunk):
-            jobs.append((i, lo, min(lo + chunk, episodes_per_level)))
+    batches = range(0, episodes_per_level, _BATCH)
+    jobs = ((i, lo, min(lo + _BATCH, episodes_per_level))
+            for i in range(len(levels)) for lo in batches)
+    tallies = [Counter() for _ in levels]
+
+    def fold(part):
+        i, tally = part
+        tallies[i] += tally
 
     # a fork pool starts every worker at the first submit, so never ask
     # for more processes than there are jobs
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(levels) * len(batches))
     if workers == 1:
-        parts = [_run_chunk(levels, *job) for job in jobs]
+        for job in jobs:
+            fold(_run_chunk(levels, *job))
     else:
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_sweep_worker_init,
                 initargs=(levels,)) as pool:
-            parts = list(pool.map(_sweep_chunk, jobs))
-
-    tallies = [Counter() for _ in levels]
-    for i, tally in parts:
-        tallies[i] += tally
+            pending = deque()
+            for job in jobs:
+                if len(pending) == 2 * workers:
+                    fold(pending.popleft().result())
+                pending.append(pool.submit(_sweep_chunk, job))
+            for future in pending:
+                fold(future.result())
     return SweepReport(tuple(_sweep_row(level.uncertainty, tally)
                              for level, tally in zip(levels, tallies)))
 

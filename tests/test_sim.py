@@ -4,6 +4,7 @@ import gc
 import json
 import pickle
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -599,7 +600,7 @@ class TestGraphMemo:
             del heated[:]
             step = sim._plan_step(g, 0, 1, heat)
             assert len(heated) == (not lowers)
-            assert step == (base, g.probs(g.edge(0, 1)),
+            assert step == (base.nodes, g.probs(g.edge(0, 1)),
                             g.effective(g.edge(0, 1)))
 
 
@@ -620,8 +621,8 @@ class TestRunSweep:
         base = EpisodeConfig(default_env, default_mission, HeatParams(),
                              0.0, 9)
         levels = [0.0, 1.0]
-        # more than one 250-episode chunk, so each row merges two tallies
-        n = 260
+        # more than one batch, so each row merges two tallies
+        n = sim._BATCH + 10
         report = run_sweep(base, levels, n)
         for i, u in enumerate(levels):
             outs = [run_episode(EpisodeConfig(
@@ -658,8 +659,10 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                done = Future()
+                done.set_result(fn(job))
+                return done
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim, "_WORKER", {})

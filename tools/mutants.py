@@ -1,5 +1,5 @@
-"""Run Tier-1 against one-line mutants of the episode tick, of sweep
-seeding, of task ordering and of the heat overlay.
+"""Run Tier-1 against one-line mutants of the episode tick in both
+engines, of sweep seeding, of task ordering and of the heat overlay.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -28,10 +28,12 @@ COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 SIM = "src/risknav/sim.py"
 PLANNER = "src/risknav/planner.py"
 HUMAN = "src/risknav/human.py"
+LOCKSTEP = "src/risknav/_lockstep.py"
 
-# (name, file, old text, new text); each changes one line of the tick,
-# of the seeding of a sweep chunk, of the task-order scorer or its gather
-# table, of the overlay's effective-success list or of the heated-row memo
+# (name, file, old text, new text); each changes one line of the scalar
+# tick or of its lockstep twin, of the seeding of a sweep batch, of the
+# task-order scorer or its gather table, of the overlay's effective-success
+# list or of the heated-row memo
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -51,6 +53,25 @@ MUTANTS = (
     ("retry clears holds", SIM,
      "        draw = rng.random()\n",
      "        draw = rng.random(); holds = 0\n"),
+    # the same rules in the lockstep engine of a sweep
+    ("lockstep settled >= 1", LOCKSTEP,
+     "& ((goal < 0) | (settled >= 2)))",
+     "& ((goal < 0) | (settled >= 1)))"),
+    ("lockstep threshold <=", LOCKSTEP,
+     "hold = index.eff[sn] < mission.threshold",
+     "hold = index.eff[sn] <= mission.threshold"),
+    ("lockstep redirect_tried kept on a move", LOCKSTEP,
+     "            tried[ok] = False\n",
+     "            pass\n"),
+    ("lockstep patience 3", LOCKSTEP,
+     "hold & (holds >= REDIRECT_PATIENCE)",
+     "hold & (holds > REDIRECT_PATIENCE)"),
+    ("lockstep holds kept on a move", LOCKSTEP,
+     "            holds[ok] = 0\n",
+     "            pass\n"),
+    ("lockstep retry clears holds", LOCKSTEP,
+     "            wp += move\n",
+     "            wp += move; holds[move] = 0\n"),
     ("redirect tie-break reversed", SIM,
      "key=lambda leg: (leg[1], leg[2][-1])))",
      "key=lambda leg: (leg[1], -leg[2][-1])))"),
@@ -58,8 +79,8 @@ MUTANTS = (
      "inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128",
      "inc = ((i0 << 64 | i1) << 1) & _MASK128"),
     ("chunk numbers episodes from 0", SIM,
-     "for j in range(lo, hi)]",
-     "for j in range(hi - lo)]"),
+     "np.arange(lo, hi, dtype=np.uint64)",
+     "np.arange(hi - lo, dtype=np.uint64)"),
     ("prefix product reset to 1", PLANNER,
      "total_prob = p * prob.take(gather[0])",
      "total_prob = 1.0 * prob.take(gather[0])"),
