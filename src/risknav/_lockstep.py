@@ -7,7 +7,9 @@ one tick, as numpy operations over the int columns of the human table and
 a table of numbered steps.  Each episode still reads its own PCG64 stream
 (O'Neill, 2014), a block of raw words at a time, so outcomes are those of
 sim._ticks, which stays the reference engine and finishes what this one
-hands off.  sim imports this module when a sweep runs its first batch.
+hands off.  _Steps, the step store that both engines read, is here too,
+since it keeps numpy arrays; sim imports this module when its first
+episode runs.
 """
 
 from __future__ import annotations
@@ -18,23 +20,21 @@ from dataclasses import astuple
 import numpy as np
 
 from . import sim
-from .env import _full, _remember
-from .human import _human_table, _predicted
+from .env import _full
+from .human import HumanState, _human_table, _predicted
 from .planner import order_tasks
 from .sim import (_MASK32, CATASTROPHIC, HOLD_TIMEOUT, REDIRECT_PATIENCE,
-                  _Draws, _episode, _pcg64_states, _plan_step, _redirected,
+                  _Draws, _episode, _pcg64_states, _redirect_target,
                   _ticks)
 
 # A lockstep episode reads this many raw words of its stream, at most 3 a
 # tick, and goes on on the scalar loop when it needs more.
 _BLOCK = 96
-# The last live episodes of a batch finish on the scalar loop.
-_TAIL = 16
-# A human table's lockstep steps keep one cell per heat, robot node and
-# waypoint; past this many cells the table is emptied between loop steps,
-# and a batch that could pass twice as many in one loop step, one new heat
-# per episode, runs on the scalar loop.
-_CELLS = 1 << 24
+# A human table's steps keep one cell per heat, robot node and waypoint;
+# past this many cells the table is emptied before it takes a new row, or
+# between loop steps in a batch, and a batch that could pass it in one
+# loop step, one new heat per episode, runs on the scalar loop.
+_CELLS = 1 << 22
 # Why a lockstep episode leaves its batch.
 _WON, _TIMED_OUT, _CRASHED, _HANDED_OFF = 1, 2, 3, 4
 
@@ -108,50 +108,91 @@ def _columns(table, g):
 
 
 class _Steps:
-    """A human table's steps toward one mission's waypoints, by number,
-    for the lockstep engine.
+    """A human table's steps toward one mission's waypoints, by number:
+    the step store of both engines.
 
     cells holds one row per heat id, of one cell per (robot, index of the
     target in waypoints) holding that step's number, -1 until filled.  By
-    number, nxt is the next node, ps and psr are p_success and p_success
-    + p_retry of the heated row of its edge, eff that row's effective
-    success, and paths the path nodes.  Each step is read from
-    g.memo("step").
+    number, plans holds _plan_step's (path nodes, heated row of the first
+    edge, its effective success), which the scalar loop reads; columns
+    gives the lockstep engine the same steps as arrays.  Past
+    _STEP_MEMO_LIMIT steps the store is emptied before it grows, between
+    loop steps in a batch; cells grow to at most twice _CELLS.
     """
 
-    __slots__ = ("waypoints", "width", "cells", "nxt", "ps", "psr", "eff",
-                 "paths")
+    __slots__ = ("waypoints", "width", "cells", "plans", "cols", "synced")
 
     def __init__(self, n, waypoints):
         self.waypoints = waypoints
         self.width = n * len(waypoints)
         self.cells = np.empty(0, np.int32)
-        self.nxt = np.empty(0, np.int32)
-        self.ps = self.psr = self.eff = np.empty(0)
-        self.paths = []
+        self.plans = []
+        self.cols = (np.empty(0, np.int32), np.empty(0), np.empty(0),
+                     np.empty(0))
+        self.synced = 0
+
+    def clear(self):
+        """Forget every step, keeping the arrays."""
+        self.cells[:] = -1
+        self.plans.clear()
+        self.synced = 0
+
+    def full(self, heats):
+        """Whether the cells of that many heat ids pass _CELLS."""
+        return heats * self.width > _CELLS
 
     def cells_of(self, heats, robot, way, count):
         """The cell of each (heat id, robot, waypoint index), given that
         heat ids are below count."""
         if count * self.width > len(self.cells):
-            self.cells = _grown(self.cells,
-                                (count + count // 2 + 16) * self.width)
+            size = max(count, min(count + count // 2 + 16,
+                                  2 * _CELLS // self.width))
+            self.cells = _grown(self.cells, size * self.width)
         return heats * self.width + robot * len(self.waypoints) + way
 
-    def add(self, steps):
-        """Number each step of steps, a dict from cell to step."""
-        lo, hi = len(self.paths), len(self.paths) + len(steps)
-        if hi > len(self.nxt):
-            for name in ("nxt", "ps", "psr", "eff"):
-                setattr(self, name, _grown(getattr(self, name),
-                                           hi + hi // 2 + 256))
-        for i, (nodes, probs, eff) in enumerate(steps.values(), lo):
-            self.nxt[i] = nodes[1]
-            self.ps[i] = probs.p_success
-            self.psr[i] = probs.p_success + probs.p_retry
-            self.eff[i] = eff
-            self.paths.append(nodes)
-        self.cells[list(steps)] = range(lo, hi)
+    def number(self, g, cell, heat, robot, target):
+        """The number of the step in cell, from robot toward target under
+        heat, planned and numbered when the cell is empty."""
+        number = self.cells[cell]
+        if number < 0:
+            number = self.cells[cell] = len(self.plans)
+            self.plans.append(sim._plan_step(g, robot, target, heat))
+        return number
+
+    def plan(self, g, heat, robot, target, way):
+        """The scalar loop's step: the plan under heat from robot toward
+        target, the way-th waypoint."""
+        cell = self.cells_of(heat.id, robot, way, heat.id + 1)
+        if self.cells[cell] < 0 and _full(self.plans):
+            self.clear()
+        return self.plans[self.number(g, cell, heat, robot, target)]
+
+    def columns(self):
+        """By number, the next node, p_success and p_success + p_retry of
+        the heated row and its effective success, as arrays."""
+        lo, hi = self.synced, len(self.plans)
+        if lo < hi:
+            if hi > len(self.cols[0]):
+                self.cols = tuple(_grown(a, hi + hi // 2 + 256)
+                                  for a in self.cols)
+            nxt, ps, psr, eff = self.cols
+            new = self.plans[lo:]
+            nxt[lo:hi] = [nodes[1] for nodes, _, _ in new]
+            ps[lo:hi] = [probs.p_success for _, probs, _ in new]
+            psr[lo:hi] = [probs.p_success + probs.p_retry
+                          for _, probs, _ in new]
+            eff[lo:hi] = [e for _, _, e in new]
+            self.synced = hi
+        return self.cols
+
+
+def _steps(table, g, mission):
+    """table's _Steps toward mission's waypoints, made anew for another
+    mission."""
+    waypoints = mission.tasks + (mission.end,)
+    if table.steps is None or table.steps.waypoints != waypoints:
+        table.steps = _Steps(g.node_count, waypoints)
+    return table.steps
 
 
 def _grown(array, size):
@@ -228,14 +269,13 @@ def _march(cfg, states, ends):
     table is filled by the scalar code, a redirect is found per episode,
     and no id is dropped until the loop step ends.  An episode whose
     start draw Lemire's method rejects is handed off at its start; one
-    that needs a word past its block, or whose draw is rejected, and the
-    last _TAIL live ones are handed off at the start of their tick.
+    that needs a word past its block, or whose draw is rejected, is
+    handed off at the start of its tick.
     """
     g, mission, u = cfg.environment, cfg.mission, cfg.uncertainty
     n, count = g.node_count, ends.shape[1]
     rng = _Draws(0)
     table = _human_table(g, cfg.heat)
-    step_memo = g.memo("step")
     words = np.empty(count * _BLOCK, np.uint64)
     for i, state in enumerate(states):
         rng.reseed(state)
@@ -297,11 +337,7 @@ def _march(cfg, states, ends):
                 idx += at
                 at = robot == route[rbase + idx]
             code[route[rbase + idx] < 0] = _WON
-            live = code == 0
-            if np.count_nonzero(live) < _TAIL:
-                code[live] = _HANDED_OFF
-            else:
-                code[live & (end - wp < 3)] = _HANDED_OFF
+            code[(code == 0) & (end - wp < 3)] = _HANDED_OFF
             live = code == 0
             if live.all():
                 return
@@ -325,14 +361,13 @@ def _march(cfg, states, ends):
             if tick >= sim._TICK_GUARD:
                 raise RuntimeError("episode exceeded the tick guard")
             hid = lanes[8]
-            if _full(table.rows) or len(table.heats) * n * len(waypoints) \
-                    > _CELLS:
+            if table.full():
                 ids = table.reintern(set(hid.tolist()))
                 hid[:] = [ids[h] for h in hid.tolist()]
-            if (table.steps is None or table.steps.waypoints != waypoints
-                    or _full(table.steps.paths)):
-                table.steps = _Steps(n, waypoints)
-            cols, index = _columns(table, g), table.steps
+            index = _steps(table, g, mission)
+            if _full(index.plans):
+                index.clear()
+            cols = _columns(table, g)
             tick += 1
             (lane, end, wp, half, has, robot, rbase, idx, hid, redirects,
              holds, tried, settled, code) = lanes
@@ -377,25 +412,19 @@ def _march(cfg, states, ends):
                 cols.fill_heats(table, g, set(hid[miss].tolist()))
                 heat[miss] = cols.heat[hid[miss]]
 
-            # the step toward the objective, from g.memo("step")
+            # the step toward the objective
             cell = index.cells_of(heat, robot, aim, len(table.heats))
             sn = index.cells[cell]
             miss = np.flatnonzero(sn < 0)
             if miss.size:
-                new = {}
                 for c, h, r, t in zip(*(a.tolist() for a in (
                         cell[miss], hid[miss], robot[miss], target[miss]))):
-                    if c not in new:
-                        heat_of = table.rows[h][3]
-                        key = (r, t, heat_of.items)
-                        new[c] = step_memo.get(key) or _remember(
-                            step_memo, key, _plan_step(g, r, t, heat_of))
-                index.add(new)
+                    index.number(g, c, table.rows[h][3], r, t)
                 sn = index.cells[cell]
-            nxt = index.nxt[sn]
+            nxt, ps, psr, eff = (a[sn] for a in index.columns())
 
             # hold, and perhaps ask the human to move
-            hold = index.eff[sn] < mission.threshold
+            hold = eff < mission.threshold
             holds += hold
             ask = np.flatnonzero(hold & (holds >= REDIRECT_PATIENCE) & ~tried
                                  & ((goal < 0) | (settled >= 2)))
@@ -403,9 +432,12 @@ def _march(cfg, states, ends):
                     ask, hid[ask], robot[ask], nxt[ask], sn[ask]))):
                 human = table.rows[h][0]
                 if r in human.predicted_path or x in human.predicted_path:
-                    moved = _redirected(g, mission, human, index.paths[j])
-                    if moved is not None:
-                        hid[i] = table.intern(moved)
+                    leg = _redirect_target(g, mission, human.position,
+                                           index.plans[j][0])
+                    if leg is not None:
+                        hid[i] = table.intern(HumanState(
+                            human.position, leg.nodes[-1], human.uncertainty,
+                            leg.nodes))
                         redirects[i] += 1
                     tried[i] = True
             code[hold & (holds >= mission.hold_limit)] = _TIMED_OUT
@@ -414,11 +446,11 @@ def _march(cfg, states, ends):
             move = ~hold
             draw = _unit(words[wp])
             wp += move
-            ok = move & (draw < index.ps[sn])
+            ok = move & (draw < ps)
             robot[ok] = nxt[ok]
             holds[ok] = 0
             tried[ok] = False
-            code[move & (draw >= index.psr[sn])] = _CRASHED
+            code[move & (draw >= psr)] = _CRASHED
             arrive(tick)
     finally:
         table.pinned = False

@@ -160,11 +160,11 @@ def apply_heat(g, heat_map):
 class _Heat:
     """One heat map of a human table.
 
-    id is its number in the table, which sets it; items is the frozenset
-    of its (edge key, heat) pairs, which keys a step; map is the map
-    itself.  Its first overlay's rows and patched list are kept for later
-    overlays to share, but never an overlay, which would refer to the
-    graph.
+    id is its number in the table, which sets it and keys its steps by
+    it; items is the frozenset of its (edge key, heat) pairs, which keys
+    it in the table; map is the map itself.  Its first overlay's rows and
+    patched list are kept for later overlays to share, but never an
+    overlay, which would refer to the graph.
     """
 
     __slots__ = ("id", "items", "map", "_rows", "_effs", "_lowers")
@@ -201,17 +201,18 @@ class _HumanTable:
     its divergence successors by neighbour index, its _Heat under params],
     each filled when first needed; states with equal heat maps share one
     _Heat.  A divergence successor is predicted once per (new position,
-    goal, uncertainty), whichever state diverged there.  Past
-    _STEP_MEMO_LIMIT rows, the ids, rows and heats are dropped together,
-    since rows hold ids; only the id that the latest intern or step
-    returned stays valid, so a caller keeps that one.  A pinned table is
-    never dropped by an intern: its holder keeps many ids and calls
-    reintern between its steps instead.
+    goal, uncertainty), whichever state diverged there.  steps holds the
+    robot's steps under each _Heat (a _lockstep._Steps) and cols the
+    lockstep engine's int columns of the rows.  Once full, past
+    _STEP_MEMO_LIMIT rows or when its heats fill the steps' cells, the
+    table drops its ids, rows, heats and steps together, since rows hold
+    ids and steps are kept per heat id; only the id that the latest intern
+    or step returned stays valid, so a caller keeps that one.  A pinned
+    table is never dropped by an intern: its holder keeps many ids and
+    calls reintern between its steps instead.
 
-    The lockstep sweep engine keeps its int columns of the rows in cols
-    and its numbered steps in steps; both go with the rows.  The graph's
-    memo holds the table, and the table never refers to the graph: each
-    call that reads it takes g.
+    The graph's memo holds the table, and the table never refers to the
+    graph: each call that reads it takes g.
     """
 
     __slots__ = ("params", "pinned", "ids", "rows", "heats", "diverged",
@@ -228,18 +229,24 @@ class _HumanTable:
         self.steps = None
 
     def clear(self):
-        """Drop every row, id, heat and column, keeping the containers
-        that callers may hold."""
+        """Drop every row, id, heat, step and column, keeping the
+        containers that callers may hold."""
         for table in (self.ids, self.rows, self.heats, self.diverged):
             table.clear()
         self.cols = None
-        self.steps = None
+        if self.steps is not None:
+            self.steps.clear()
+
+    def full(self):
+        """Whether the table is to be dropped before it takes a row."""
+        return _full(self.rows) or (self.steps is not None
+                                    and self.steps.full(len(self.heats)))
 
     def intern(self, h):
         """The id of state h, given a new row if h is new."""
         hid = self.ids.get(h)
         if hid is None:
-            if _full(self.rows) and not self.pinned:
+            if not self.pinned and self.full():
                 self.clear()
             hid = self.ids[h] = len(self.rows)
             self.rows.append([h, None, None, None])

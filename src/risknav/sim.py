@@ -10,10 +10,11 @@ Sweeps repeat episodes across uncertainty levels with per-episode seeds
 derived from (base seed, level index, episode index), so results are
 independent of worker count and batching.  run_episode runs the scalar
 tick loop, _ticks.  A sweep runs jobs of up to _BATCH episodes of a
-level, made as they run; _lockstep steps a job's episodes together, one
-numpy step per tick for every live episode, with exactly the draws of
-the scalar loop, and hands its long runs and its last episodes to
-_ticks, so both engines give the same CSV byte for byte.
+level, as few as a quarter of that when more would leave a worker
+without a job, made as they run.  _lockstep steps a job's episodes
+together, one numpy step per tick for every live episode, with exactly
+the draws of the scalar loop, and hands its long runs to _ticks, so both
+engines give the same CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
-                  _read_json, _reject_unknown, _remember)
+                  _read_json, _reject_unknown)
 from .human import HeatParams, HumanState, _human_table, _predicted
 from .planner import (_best, _heat_proof_path, _to_path, check_reachable,
                       max_success_path, order_tasks)
@@ -209,20 +210,6 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                         default=None, key=lambda leg: (leg[1], leg[2][-1])))
 
 
-def _redirected(g, mission, human, nodes):
-    """human sent along its _redirect_target off nodes, as a HumanState,
-    or None; memoized in g.memo per (safe locations, position,
-    uncertainty, nodes)."""
-    memo = g.memo("redirect")
-    key = (mission.safe_locations, human.position, human.uncertainty, nodes)
-    moved = memo.get(key, False)
-    if moved is False:
-        leg = _redirect_target(g, mission, human.position, nodes)
-        moved = _remember(memo, key, None if leg is None else HumanState(
-            human.position, leg.nodes[-1], human.uncertainty, leg.nodes))
-    return moved
-
-
 def _plan_step(g, robot, target, heat):
     """The step toward target under a human table's _Heat: the nodes of
     the max-success path on the heated map, the heated outcome row of its
@@ -247,11 +234,11 @@ def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
     The human is an id in g's table of human states for cfg.heat, which
-    holds each state's successors and heat map.  The step (the nodes of
-    the max-success path on the heated map, the heated outcome row of its
-    first edge and that row's effective success) is memoized in g.memo
-    per robot, objective and heat map.  A base graph shares both with
-    every episode it runs; a heat overlay keeps them for one episode.
+    holds each state's successors and heat map, and its steps: the step
+    (the nodes of the max-success path on the heated map, the heated
+    outcome row of its first edge and that row's effective success) is
+    kept per heat map, robot and objective.  A base graph shares the table
+    with every episode it runs; a heat overlay keeps it for one episode.
     The robot moves only while that effective success is at least the
     mission threshold.  Only a redirect gives the human a goal, a safe
     spot; a step keeps it.  Draws come from _Draws(cfg.seed), which gives
@@ -284,8 +271,11 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
     the robot, its route and the index of its objective, the human's id
     in table, and the counters.  This scalar loop is the reference that
     the lockstep engine of a sweep reproduces."""
+    from . import _lockstep
+
     rows = table.rows
-    step_memo = g.memo("step")
+    store = _lockstep._steps(table, g, mission)
+    ways = [store.waypoints.index(t) for t in route]
     while True:
         while idx < len(route) and robot == route[idx]:
             idx += 1
@@ -302,13 +292,7 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
         settled = settled + 1 if human.position == human.goal else 0
         heat = row[3] or table.heat(g, hid)
 
-        target = route[idx]
-        key = (robot, target, heat.items)
-        step = step_memo.get(key)
-        if step is None:
-            step = _remember(step_memo, key,
-                             _plan_step(g, robot, target, heat))
-        nodes, probs, eff = step
+        nodes, probs, eff = store.plan(g, heat, robot, route[idx], ways[idx])
         nxt = nodes[1]
 
         if eff < mission.threshold:
@@ -321,9 +305,11 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
                     and (human.goal is None or settled >= 2)
                     and (robot in human.predicted_path
                          or nxt in human.predicted_path)):
-                moved = _redirected(g, mission, human, nodes)
-                if moved is not None:
-                    hid = table.intern(moved)
+                leg = _redirect_target(g, mission, human.position, nodes)
+                if leg is not None:
+                    hid = table.intern(HumanState(
+                        human.position, leg.nodes[-1], human.uncertainty,
+                        leg.nodes))
                     redirects += 1
                 redirect_tried = True
             if holds >= mission.hold_limit:
@@ -405,7 +391,8 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
 
     Level u runs as the EpisodeConfig replace(base, uncertainty=u), with seeds
     fixed by (base.seed, level index, episode index) alone.  A job is a
-    batch of up to _BATCH episodes of a level, stepped in lockstep, and
+    batch of up to _BATCH episodes of a level, as few as a quarter of that
+    when more would leave a worker without a job, stepped in lockstep, and
     returns a Counter of (failure cause, redirects).  Jobs are made as they
     are run, with at most two per worker in flight, and a level's Counters
     add up to one, from which its row is derived, so the report is
@@ -423,8 +410,12 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         raise ValueError("workers must be an integer of at least 1")
     check_reachable(base.environment, base.mission)
 
-    batches = range(0, episodes_per_level, _BATCH)
-    jobs = ((i, lo, min(lo + _BATCH, episodes_per_level))
+    # a job holds no more episodes than it takes to give every worker one,
+    # but at least a quarter of _BATCH, below which lockstep gains little
+    size = min(_BATCH, max(_BATCH // 4,
+                           -(-len(levels) * episodes_per_level // workers)))
+    batches = range(0, episodes_per_level, size)
+    jobs = ((i, lo, min(lo + size, episodes_per_level))
             for i in range(len(levels)) for lo in batches)
     tallies = [Counter() for _ in levels]
 

@@ -23,10 +23,9 @@ from risknav.sim import derive_seed
 
 from conftest import random_connected_doc
 
-# the default engine; a block so small that most episodes run out of
-# words and go on on the scalar loop; and no scalar tail at all
-ENGINES = {"default": {}, "small blocks": {"_BLOCK": 8},
-           "no tail": {"_TAIL": 0}}
+# the default engine, and a block so small that most episodes run out of
+# words and go on on the scalar loop
+ENGINES = {"default": {}, "small blocks": {"_BLOCK": 8}}
 
 
 @pytest.fixture(params=sorted(ENGINES))
@@ -81,7 +80,8 @@ class TestDraws:
         wp, kept, held = start.copy(), has.copy(), half.copy()
         sel = np.flatnonzero(rng.integers(4, size=lanes) > 0)
         bounds = np.full(sel.size, bound, np.uint64)
-        draws, rejected = _lockstep._bounded(words, wp, held, kept, sel, bounds)
+        draws, rejected = _lockstep._bounded(words, wp, held, kept, sel,
+                                             bounds)
         assert draws.dtype == np.intp
         rejections = 0
         for j, i in enumerate(sel.tolist()):
@@ -218,7 +218,7 @@ class TestParity:
             seeds = episode_seeds(base, level, 200)
             assert _lockstep.outcomes(cfg, seeds) == scalar(cfg, seeds)
         # the small blocks hand most episodes to the scalar loop mid-run;
-        # otherwise the tails and the longest episodes go
+        # otherwise only the longest episodes go
         assert (sum(tails) > 400) == (engine == "small blocks")
         assert any(tails)
 
@@ -342,6 +342,75 @@ class TestSweepTables:
             run_episode(EpisodeConfig(g, mission, HeatParams(), 0.6, seed))
         assert len(calls) > 50
         assert len(calls) == len(set(calls))
+
+    def test_steps_past_the_cell_budget_empty_the_table(self, monkeypatch):
+        # 30 nodes x 8 waypoints is 240 cells a heat: with a budget of
+        # 2,400 cells the table is emptied past 10 heats, its cells never
+        # pass twice the budget, and episodes stay those of a fresh graph
+        g = load_default_environment()
+        mission = load_default_mission(g)
+        configs = [(u, seed) for u in (0.5, 1.0) for seed in range(12)]
+
+        def outcomes(graph):
+            return [run_episode(EpisodeConfig(graph, mission, HeatParams(),
+                                              u, seed))
+                    for u, seed in configs]
+
+        fresh = outcomes(load_default_environment())
+        monkeypatch.setattr(_lockstep, "_CELLS", 2_400)
+        clears, sizes = [], []
+        real = human._HumanTable.clear
+
+        def clear(table):
+            clears.append(len(table.heats))
+            sizes.append(len(table.steps.cells))
+            real(table)
+
+        monkeypatch.setattr(human._HumanTable, "clear", clear)
+        assert outcomes(g) == fresh
+        table = g._memo["human"][HeatParams()]
+        sizes.append(len(table.steps.cells))
+        assert len(clears) > 3 and max(clears) == 11
+        assert max(sizes) <= 2 * 2_400
+
+    def test_every_worker_gets_a_job(self, monkeypatch):
+        # jobs of 1,000 episodes, or smaller ones, down to 250, when that
+        # gives a worker a job it would not have
+        jobs = []
+
+        def record(levels, level_index, lo, hi):
+            jobs.append((level_index, lo, hi))
+            return level_index, Counter({(None, 0): hi - lo})
+
+        class InProcess:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, job):
+                done = Future()
+                done.set_result(fn(job))
+                return done
+
+        monkeypatch.setattr(sim, "_run_chunk", record)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(sim, "_WORKER", {})
+        g = load_default_environment()
+        base = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0,
+                             1)
+        for levels, episodes, workers, sizes in (
+                (1, 1000, 1, [1000]), (1, 1000, 2, [500, 500]),
+                (1, 1000, 3, [334, 334, 332]), (1, 300, 2, [250, 50]),
+                (1, 100, 2, [100]), (2, 600, 2, [600, 600]),
+                (11, 1000, 2, [1000] * 11), (3, 2000, 4, [1000] * 6)):
+            del jobs[:]
+            run_sweep(base, [0.5] * levels, episodes, workers)
+            assert [hi - lo for _, lo, hi in jobs] == sizes
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_memory_does_not_grow_with_its_episodes(

@@ -352,10 +352,11 @@ class TestGraphMemo:
                                    "end": 22, "safe_locations": [13, 20]}, g)
         run_sweep(EpisodeConfig(g, other, HeatParams(0.9, 0.3), 0.0, 4),
                   [0.0, 0.7], 20)
-        assert g._memo["plan"] and g._memo["step"]
+        assert g._memo["plan"]
+        assert g._memo["human"][HeatParams(0.9, 0.3)].steps.plans
 
-        # a low bound makes the step memo and the human table clear
-        # themselves inside episodes
+        # a low bound makes the steps and the human table clear themselves
+        # inside episodes
         limit = 8
         monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
         misses = {"step": [], "heat": []}
@@ -394,8 +395,8 @@ class TestGraphMemo:
                 break
         else:
             pytest.fail("no table cleared inside an episode")
-        assert len(g._memo["step"]) <= limit + 1
         table = g._memo["human"][HeatParams()]
+        assert len(table.steps.plans) <= limit + 1
         assert len(table.rows) == len(table.ids) <= limit + 1
         assert used == fresh
 
@@ -404,8 +405,9 @@ class TestGraphMemo:
         run_episode(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                   0.5, 1))
         clone = pickle.loads(pickle.dumps(g))
-        for name in ("plan", "prob", "step", "heated", "human"):
+        for name in ("plan", "prob", "heated", "human"):
             assert g._memo[name]
+        assert g._memo["human"][HeatParams()].steps.plans
         assert clone._memo == {}
         assert clone == g
 
@@ -566,7 +568,7 @@ class TestGraphMemo:
             ref = weakref.ref(g)
             run_sweep(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                     0.0, 5), [0.0, 0.5], 20)
-            assert g._memo["human"] and g._memo["step"]
+            assert g._memo["human"][HeatParams()].steps.plans
             del g
             assert ref() is None
         finally:

@@ -58,8 +58,8 @@ MUTANTS = (
      "& ((goal < 0) | (settled >= 2)))",
      "& ((goal < 0) | (settled >= 1)))"),
     ("lockstep threshold <=", LOCKSTEP,
-     "hold = index.eff[sn] < mission.threshold",
-     "hold = index.eff[sn] <= mission.threshold"),
+     "hold = eff < mission.threshold",
+     "hold = eff <= mission.threshold"),
     ("lockstep redirect_tried kept on a move", LOCKSTEP,
      "            tried[ok] = False\n",
      "            pass\n"),
