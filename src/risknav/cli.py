@@ -1,10 +1,10 @@
 """Command-line frontend: planning, validation, model export, simulation.
 
 Five subcommands: plan, validate, export-prism, simulate, sweep.  Exit
-codes are 0 for success, 1 for malformed input, 2 when the domain has no
-solution (no path, or a node sequence with a missing edge).  simulate and
-sweep emit machine-parseable CSV on standard output; diagnostics go to
-standard error.
+codes are 0 for success, 1 for malformed input or one too large for
+memory, 2 when the domain has no solution (no path, or a missing edge).
+simulate and sweep emit machine-parseable CSV on standard output;
+diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -234,6 +234,9 @@ def main(argv=None):
         return EXIT_NO_SOLUTION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

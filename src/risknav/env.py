@@ -9,6 +9,7 @@ loaded from plain JSON documents with a fixed schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -101,9 +102,9 @@ class EnvironmentGraph:
 
     Adjacency queries return neighbours in ascending node-id order, so every
     traversal of the structure is deterministic.  The constructor checks
-    every edge, naming its index, and stores it with a < b and a float
-    distance; the node count must be an int of at least 1, and every risk
-    table row an OutcomeProbs.
+    every edge, an Edge or an [a, b, distance, class] row, naming its
+    index, and stores it with a < b and a float distance; the node count
+    must be an int of at least 1, and every risk table row an OutcomeProbs.
     """
 
     def __init__(self, node_count, risk_table, edges, labels=None, xy=None):
@@ -119,50 +120,50 @@ class EnvironmentGraph:
                                  "OutcomeProbs")
         self.labels = dict(labels or {})
         self.xy = dict(xy or {})
-        self.edges = {}
+        # what a relaxation reads: each edge's number (its row index), key
+        # and effective success, and per node its hops, sorted, () for none
+        self.edges, rows = {}, {}
         for i, e in enumerate(edges):
             e = self._checked_edge(i, e)
-            if e.key() in self.edges:
+            if (key := (e.a, e.b)) in self.edges:
                 raise ValueError(f"edge {i}: duplicate edge ({e.a}, {e.b})")
-            self.edges[e.key()] = e
-        self._adj = [[] for _ in range(node_count)]
-        for e in self.edges.values():
-            self._adj[e.a].append((e.b, e))
-            self._adj[e.b].append((e.a, e))
-        for lst in self._adj:
-            lst.sort(key=lambda pair: pair[0])
-        # what a relaxation reads: edge numbers (and keys) in edges order,
-        # effective success by number, and per node (nbr, distance, number)
+            rows.setdefault(e.a, []).append((e.b, e.distance, i))
+            rows.setdefault(e.b, []).append((e.a, e.distance, i))
+            self.edges[key] = e
         self._keys = list(self.edges)
         self._index = {key: i for i, key in enumerate(self._keys)}
-        self._effs = [effective_success(self.risk_table[e.risk])
-                      for e in self.edges.values()]
-        self._hops = [[(nbr, e.distance, self._index[e.key()])
-                       for nbr, e in lst] for lst in self._adj]
+        effs = {k: effective_success(p) for k, p in self.risk_table.items()}
+        self._effs = [effs[e.risk] for e in self.edges.values()]
+        self._hops = [()] * node_count
+        for node, row in rows.items():
+            self._hops[node] = tuple(sorted(row))
         # the one owner of every planning and per-tick cache; each entry
         # is a pure function of the (immutable) graph and its key
         self._memo = {}
 
     def _checked_edge(self, i, e):
-        a, b, dist, risk = e.a, e.b, e.distance, e.risk
+        a, b, dist, risk = ((e.a, e.b, e.distance, e.risk)
+                            if isinstance(e, Edge) else e)
         if type(a) is not int or type(b) is not int:
             raise ValueError(f"edge {i}: endpoints must be integers")
         if a == b:
             raise ValueError(f"edge {i}: self-loop at node {a}")
-        if not (0 <= min(a, b) and max(a, b) < self.node_count):
+        a, b = (a, b) if a < b else (b, a)
+        if not (0 <= a and b < self.node_count):
             raise ValueError(f"edge {i}: endpoint outside "
                              f"0..{self.node_count - 1}")
         # an int beyond the float range is refused as not finite, as a
         # JSON 1e400 (which loads as inf) is
-        if not (_is_number(dist) or _is_number(dist, int)) or not dist > 0:
+        numeric = type(dist) is float or _is_number(dist)
+        if not (numeric or _is_number(dist, int)) or not dist > 0:
             raise ValueError(f"edge {i}: distance {dist!r} not positive")
-        if not (_is_number(dist) and math.isfinite(dist)):
+        if not numeric or dist == math.inf:
             raise ValueError(f"edge {i}: distance {dist!r} not finite")
         if not isinstance(risk, str):
             raise ValueError(f"edge {i}: risk class {risk!r} must be a name")
         if risk not in self.risk_table:
             raise ValueError(f"edge {i}: risk class {risk!r} not declared")
-        return Edge(min(a, b), max(a, b), float(dist), risk)
+        return Edge(a, b, float(dist), risk)
 
     def __getstate__(self):
         # memo entries are derived data, so a pickled graph starts cold
@@ -186,16 +187,14 @@ class EnvironmentGraph:
 
     def neighbors(self, node):
         """Sorted list of (neighbour_id, Edge) pairs incident to node."""
-        self.check_node(node)
-        return self._adj[node]
+        return [(nbr, self.edges[self._keys[i]])
+                for nbr, _, i in self._hops[self.check_node(node)]]
 
     def edge(self, a, b):
         """The edge between a and b, or None."""
         self.check_node(a)
         self.check_node(b)
-        if a > b:
-            a, b = b, a
-        return self.edges.get((a, b))
+        return self.edges.get((a, b) if a < b else (b, a))
 
     def probs(self, edge):
         return self.risk_table[edge.risk]
@@ -216,14 +215,12 @@ class EnvironmentGraph:
 class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
-    Takes its topology (node_count, nodes, check_node, neighbors, edge,
-    edges, the edge numbers, their keys and the hop rows) from the base
-    graph and stores, as given, overrides (heated edge key -> row) and
-    effs, the base's effective-success list with each heated value
-    written in.  Overlays come from apply_heat, which names a missing
-    edge, a bad node or a bad heat, and computes both.  Planner and
-    validator code accepts either graph type.  An overlay shares no memo:
-    its probabilities are not its base's.
+    Takes its topology from the base graph and stores, as given,
+    overrides (heated edge key -> row) and effs, the base's
+    effective-success list with each heated value written in; apply_heat
+    checks and computes both.  Planner and validator code accepts either
+    graph type.  An overlay shares no memo: its probabilities are not its
+    base's.
     """
 
     def __init__(self, base, overrides, effs):
@@ -332,6 +329,11 @@ def _parse_risk_table(doc):
     return table
 
 
+@functools.cache
+def _default_risk_table():
+    return _parse_risk_table(DEFAULT_RISK_TABLE)  # each graph copies it
+
+
 def environment_from_dict(doc):
     """Build an EnvironmentGraph from a schema-checked JSON document."""
     if not isinstance(doc, dict):
@@ -351,27 +353,29 @@ def environment_from_dict(doc):
                 continue
             if not isinstance(entry, dict):
                 raise ValueError(f"node {i}: expected an object")
-            _reject_unknown(entry, _NODE_FIELDS, f"node {i}")
+            if not entry.keys() <= _NODE_FIELDS:
+                _reject_unknown(entry, _NODE_FIELDS, f"node {i}")
             if "label" in entry:
                 labels[i] = str(entry["label"])
             if "xy" in entry:
                 pt = entry["xy"]
                 if (not isinstance(pt, (list, tuple)) or len(pt) != 2
-                        or not all(_is_number(v) for v in pt)):
+                        or not (_is_number(pt[0]) and _is_number(pt[1]))):
                     raise ValueError(f"node {i}: xy must be [x, y]")
                 xy[i] = (float(pt[0]), float(pt[1]))
     else:
         raise ValueError("'nodes' must be an integer count or a list")
 
-    table = _parse_risk_table(doc.get("risk_table", DEFAULT_RISK_TABLE))
+    table = (_parse_risk_table(doc["risk_table"]) if "risk_table" in doc
+             else _default_risk_table())
 
-    if not isinstance(doc["edges"], list):
+    # every row's shape, then the graph's checks of count and rows in order
+    edges = doc["edges"]
+    if not isinstance(edges, list):
         raise ValueError("'edges' must be a list")
-    edges = []
-    for i, row in enumerate(doc["edges"]):
+    for i, row in enumerate(edges):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise ValueError(f"edge {i}: expected [a, b, distance, class]")
-        edges.append(Edge(*row))
 
     return EnvironmentGraph(count, table, edges, labels, xy)
 
@@ -427,10 +431,7 @@ def mission_from_dict(doc, env=None):
     m = MissionSpec(start, tasks, end, safe, doc.get("threshold", 0.9),
                     doc.get("hold_limit", 10))
     if env is not None:
-        referenced = list(tasks) + list(safe) + [end]
-        if m.start is not None:
-            referenced.append(m.start)
-        for node in referenced:
+        for node in (*tasks, *safe, end, *([] if start is None else [start])):
             env.check_node(node)
     return m
 
@@ -478,9 +479,11 @@ def save_mission(m, path):
         fh.write("\n")
 
 
+_DATA = resources.files("risknav").joinpath("data")  # resolved once
+
+
 def _bundled(name):
-    return json.loads(
-        resources.files("risknav").joinpath(f"data/{name}").read_text())
+    return json.loads(_DATA.joinpath(name).read_text())
 
 
 def load_default_environment():

@@ -162,8 +162,9 @@ class _Heat:
 
     id is its number in the table, which sets it and keys its steps by
     it; items is the frozenset of its (edge key, heat) pairs, which keys
-    it in the table; map is the map itself.  Its first overlay's rows and
-    patched list are kept for later overlays to share, but never an
+    it in the table; map is the map itself.  Its heated rows by edge key
+    and its patched copy of the graph's effective-success list come from
+    apply_heat on the first call of effs and are kept, but never an
     overlay, which would refer to the graph.
     """
 
@@ -173,24 +174,22 @@ class _Heat:
         self.id = None
         self.items = frozenset(heat_map.items())
         self.map = heat_map
-        self._rows = None
-        self._effs = None
-        self._lowers = None
+        self._rows = self._effs = self._lowers = None
 
-    def overlay(self, g):
-        """apply_heat(g, map), with the rows and list of the first call."""
-        if self._rows is None:
-            hot = apply_heat(g, self.map)
+    def effs(self, g):
+        """The effective-success list of apply_heat(g, map), kept with its
+        rows and with lowers(g) on the first call."""
+        if self._effs is None:
+            hot, index = apply_heat(g, self.map), g._index
             self._rows, self._effs = hot.overrides, hot._effs
-        return HeatedGraph(g, self._rows, self._effs)
+            self._lowers = all(hot._effs[index[key]] <= g._effs[index[key]]
+                               for key in self._rows)
+        return self._effs
 
     def lowers(self, g):
-        """Whether no edge's effective success is higher on the map's
-        overlay of g than on g; found on the first call."""
-        if self._lowers is None:
-            self.overlay(g)
-            self._lowers = all(hot <= base
-                               for hot, base in zip(self._effs, g._effs))
+        """Whether no heated edge's effective success is higher in effs(g)
+        than on g."""
+        self.effs(g)
         return self._lowers
 
 

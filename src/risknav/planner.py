@@ -6,16 +6,13 @@ deterministically so repeated runs return byte-identical plans: equal-cost
 candidates are ordered by (objective, then distance for the probability
 planner, then the node sequence itself).
 
-On a base graph each objective runs one full search per source and
-memoizes it as a tree of the search's entries for every reachable node;
-on a heat overlay the search stops at the goal.  A Path is built only
-where a caller returns one: internal callers read the entries.  Task
-ordering reads its legs from the max-success trees of its start and of
-each task, and one exhaustive scorer covers every accepted task count.
-Every memo is a g.memo table: search trees per objective and source, and
-mission plans per (tasks, end node, start).  A heat overlay's tables are
-never kept, and the order tables of up to 8 tasks are kept per process,
-not per graph.
+On a base graph each objective memoizes one full search per source in
+g.memo, as a tree of the search's entries for every reachable node; a
+search on heated effective successes stops at the goal.  A Path is built
+only where a caller returns one.  Task ordering reads its legs from the
+max-success trees of its start and of each task, scores every order and
+memoizes its plan per (tasks, end node, start) in g.memo; the order
+tables of up to 8 tasks are kept per process, not per graph.
 """
 
 from __future__ import annotations
@@ -68,8 +65,9 @@ def path_from_nodes(g, nodes):
     return Path(nodes, dist, prob)
 
 
-def _search(g, start, goal=None, by_distance=False):
-    """Dijkstra from start, as {node: (key, dist, seq, prob)}.
+def _search(g, effs, start, goal=None, by_distance=False):
+    """Dijkstra from start over g's hop rows, with effs the effective
+    success by edge number, as {node: (key, dist, seq, prob)}.
 
     Each node maps to the heap entry that first popped it: the key, then
     the path's distance, node sequence and success probability.  The key
@@ -84,8 +82,7 @@ def _search(g, start, goal=None, by_distance=False):
     6) returns (0, 7, 8, 9, 6) of distance 8, not (0, 4, 5, 3, 6) of equal
     probability and distance 4.
     """
-    hops, effs = g._hops, g._effs
-    popped = {}
+    hops, popped = g._hops, {}
     heap = [(0.0 if by_distance else -1.0, 0.0, (start,), 1.0)]
     while heap:
         entry = heapq.heappop(heap)
@@ -118,14 +115,14 @@ def _tree(g, start, by_distance=False):
     cache = g.memo("dist" if by_distance else "prob")
     tree = cache.get(start)
     if tree is None:
-        tree = cache[start] = _search(g, start, None, by_distance)
+        tree = cache[start] = _search(g, g._effs, start, None, by_distance)
     return tree
 
 
-def _heat_proof_path(g, start, goal, heated):
-    """max_success_path(g, start, goal) if g already holds the tree of
-    start and the search on a heat overlay of g provably returns it too,
-    else None; nothing is searched.
+def _heat_proof(g, start, goal, heated):
+    """The search entry of max_success_path(g, start, goal) if g already
+    holds the tree of start and the search on a heat overlay of g provably
+    returns its path too, else None; nothing is searched.
 
     heated holds the keys of the overlay's heated edges, whose effective
     success it must never raise.  Every path's key is then at least its
@@ -145,7 +142,7 @@ def _heat_proof_path(g, start, goal, heated):
             hit = tree.get(dst)
             if hit is not None and hit[2][-2:-1] == (src,) and hit <= entry:
                 return None
-    return _to_path(entry)
+    return entry
 
 
 def _best(g, start, goal, by_distance):
@@ -158,7 +155,7 @@ def _best(g, start, goal, by_distance):
     g.check_node(goal)
     if isinstance(g, EnvironmentGraph):
         return _tree(g, start, by_distance).get(goal)
-    return _search(g, start, goal, by_distance).get(goal)
+    return _search(g, g._effs, start, goal, by_distance).get(goal)
 
 
 def shortest_distance_path(g, start, goal):
@@ -208,11 +205,14 @@ def check_reachable(g, mission, starts=None):
     holds exactly when all starts and waypoints lie in one component, the
     first waypoint's search tree; the first failing waypoint is named.
     """
-    if starts is None:
+    drawn = starts is None
+    if drawn:
         starts = (g.nodes if mission.start is None
                   else (g.check_node(mission.start),))
     waypoints = mission.tasks + (mission.end,)
     reached = _tree(g, g.check_node(waypoints[0]))
+    if drawn and len(reached) == g.node_count:
+        starts = ()  # a tree that spans the map reaches every drawn start
     for t in waypoints:
         g.check_node(t)
         for s in starts:
@@ -273,16 +273,18 @@ def _best_order(trees, tasks, end):
         targets = [tasks[j] for j in rest] + [end]
         prob = np.array([[tree[t][3] for t in targets] for tree in sources])
         dist = np.array([[tree[t][1] for t in targets] for tree in sources])
-        # the same products and sums, left to right, as one fold per leg
+        # the same products and sums, left to right, as one fold per leg;
+        # distances only for the orders of the best probability
         total_prob = p * prob.take(gather[0])
-        total_dist = d + dist.take(gather[0])
         for ix in gather[1:]:
             total_prob *= prob.take(ix)
-            total_dist += dist.take(ix)
         top = np.flatnonzero(total_prob == total_prob.max())
-        top = top[total_dist[top] == total_dist[top].min()]
+        total_dist = d + dist.take(gather[0, top])
+        for ix in gather[1:, top]:
+            total_dist += dist.take(ix)
+        top = top[total_dist == total_dist.min()]
         head = [tasks[j] for j in prefix]
-        keys.append((-float(total_prob[top[0]]), float(total_dist[top[0]]),
+        keys.append((-float(total_prob[top[0]]), float(total_dist.min()),
                      min(tuple(head + [targets[i] for i in perms[b]])
                          for b in top)))
     return min(keys)[2]

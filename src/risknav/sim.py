@@ -1,35 +1,31 @@
 """Mission episodes and Monte-Carlo uncertainty sweeps.
 
 An episode runs one robot mission against one simulated human.  Each tick
-the human moves first, the robot rebuilds the heat overlay and replans,
-and the next edge is traversed only while its heated effective success
-stays at or above the mission threshold; persistent blockage triggers a
-single redirect request per hold episode and eventually a hold timeout.
+the human moves first, the robot replans on the human's heat, and the
+next edge is traversed only while its heated effective success stays at
+or above the mission threshold; persistent blockage triggers a single
+redirect request per hold episode and eventually a hold timeout.
 
 Sweeps repeat episodes across uncertainty levels with per-episode seeds
 derived from (base seed, level index, episode index), so results are
 independent of worker count and batching.  run_episode runs the scalar
-tick loop, _ticks.  A sweep runs jobs of up to _BATCH episodes of a
-level, as few as a quarter of that when more would leave a worker
-without a job, made as they run.  _lockstep steps a job's episodes
-together, one numpy step per tick for every live episode, with exactly
-the draws of the scalar loop, and hands its long runs to _ticks, so both
-engines give the same CSV byte for byte.
+tick loop, _ticks; _lockstep steps a sweep job's episodes together, one
+numpy step per tick for every live episode, with exactly the draws of
+the scalar loop, so both engines give the same CSV byte for byte.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown)
 from .human import HeatParams, HumanState, _human_table, _predicted
-from .planner import (_best, _heat_proof_path, _to_path, check_reachable,
-                      max_success_path, order_tasks)
+from .planner import (_best, _heat_proof, _search, _to_path,
+                      check_reachable, order_tasks)
 
 HOLD_TIMEOUT = "hold_timeout"
 CATASTROPHIC = "catastrophic"
@@ -213,38 +209,32 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
 def _plan_step(g, robot, target, heat):
     """The step toward target under a human table's _Heat: the nodes of
     the max-success path on the heated map, the heated outcome row of its
-    first edge and that row's effective success.
-
-    When g already holds the tree of robot, the planner proves the heated
-    search would return its path, and the heat raises no edge's effective
-    success, the map is not heated at all.
-    """
-    path = _heat_proof_path(g, robot, target, heat.map)
-    hot = g
-    if path is None or not heat.lowers(g):
-        hot = heat.overlay(g)
-        path = max_success_path(hot, robot, target)
-        if path is None:
+    first edge and that row's effective success.  The path is g's when the
+    planner proves the heated search returns it and the heat raises no
+    effective success; else a search to target runs on the heat's list."""
+    entry = _heat_proof(g, robot, target, heat.map)
+    effs = heat.effs(g)
+    if entry is None or not heat.lowers(g):
+        entry = _search(g, effs, robot, target).get(target)
+        if entry is None:
             raise RuntimeError(f"objective {target} unreachable from {robot}")
-    edge = g.edge(robot, path.nodes[1])
-    return path.nodes, hot.probs(edge), hot.effective(edge)
+    nodes = entry[2]
+    key = (robot, nodes[1]) if robot < nodes[1] else (nodes[1], robot)
+    row = heat._rows.get(key) or g.probs(g.edges[key])
+    return nodes, row, effs[g._index[key]]
 
 
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
     The human is an id in g's table of human states for cfg.heat, which
-    holds each state's successors and heat map, and its steps: the step
-    (the nodes of the max-success path on the heated map, the heated
-    outcome row of its first edge and that row's effective success) is
-    kept per heat map, robot and objective.  A base graph shares the table
-    with every episode it runs; a heat overlay keeps it for one episode.
-    The robot moves only while that effective success is at least the
-    mission threshold.  Only a redirect gives the human a goal, a safe
-    spot; a step keeps it.  Draws come from _Draws(cfg.seed), which gives
-    what np.random.default_rng(cfg.seed) would; the episode and the human
-    table call only its random() and integers(n).  A sweep batch makes
-    the same draws, stepping its episodes in lockstep.
+    holds each state's successors and heat map, and the robot's steps
+    (_plan_step's) per heat map, robot and objective; a heat overlay
+    keeps it for one episode.  The robot moves only while the step's
+    effective success is at least the mission threshold.  Only a redirect
+    gives the human a goal, a safe spot.  Draws come from _Draws(cfg.seed),
+    which gives what np.random.default_rng(cfg.seed) would; the episode
+    and the human table call only its random() and integers(n).
     """
     return _episode(cfg, _Draws(cfg.seed))
 
@@ -430,6 +420,9 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         for job in jobs:
             fold(_run_chunk(levels, *job))
     else:
+        # the pool's modules load only when a sweep forks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_sweep_worker_init,

@@ -271,7 +271,7 @@ class TestTaskLimit:
         started = []
         monkeypatch.setattr(sim, "_episode",
                             lambda *args: started.append(args))
-        monkeypatch.setattr(sim, "ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             lambda *args, **kw: started.append(kw))
         for argv in self.COMMANDS:
             code, out, err = run(capsys, *argv, "--mission", mission)
@@ -289,6 +289,29 @@ class TestTaskLimit:
                 capture_output=True, text=True, env=env, timeout=60)
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 1, "", self.ERROR)
+
+
+class TestOversizedInput:
+    def test_a_map_too_large_for_memory_is_one_error_line(self, tmp_path):
+        # a billion nodes with one edge is a well-formed 53-byte document;
+        # the child's address space is capped at 1 GB, so its graph cannot
+        # be built, and nothing outside the child is limited
+        import resource
+
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps(
+            {"nodes": 10 ** 9, "edges": [[0, 1, 1.0, "Low"]]}))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = pathlib.Path(risknav.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "risknav.cli", "plan", "0", "1", "--env",
+             str(target)], capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: out of memory\n")
 
 
 # an integer too large for a float, where a float is expected

@@ -254,6 +254,51 @@ class TestEnvironmentSchema:
             load_environment(str(bad))
 
 
+class TestOneAdjacency:
+    """The graph keeps one adjacency, its hop rows; neighbors() reads them,
+    and the loader checks every row's shape, then the node count, then
+    each row's contents in order."""
+
+    def graphs(self):
+        rng = np.random.default_rng(27)
+        yield load_default_environment()
+        for _ in range(40):
+            yield environment_from_dict(random_connected_doc(rng))
+
+    def test_neighbors_are_each_nodes_edges_sorted_by_neighbour(self):
+        for g in self.graphs():
+            for n in g.nodes:
+                pairs = sorted((nbr, g.edge(n, nbr)) for nbr in g.nodes
+                               if nbr != n and g.edge(n, nbr) is not None)
+                assert g.neighbors(n) == pairs
+                assert list(g._hops[n]) == [
+                    (nbr, e.distance, g._index[e.key()]) for nbr, e in pairs]
+            doc = environment_to_dict(g)
+            assert environment_from_dict(doc) == g
+            assert environment_to_dict(environment_from_dict(doc)) == doc
+
+    def test_nodes_without_edges_share_the_empty_row(self):
+        g = environment_from_dict({"nodes": 4, "edges": [[1, 0, 2, "Low"]]})
+        assert g._hops[2] is g._hops[3] == ()
+        assert g.neighbors(3) == []
+        assert g.neighbors(1) == [(0, Edge(0, 1, 2.0, "Low"))]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nodes": 0, "edges": [[1, 2]]},
+         "edge 0: expected [a, b, distance, class]"),
+        ({"nodes": 2, "edges": [[0, 0, 1.0, "Low"], [1]]},
+         "edge 1: expected [a, b, distance, class]"),
+        ({"nodes": 2, "edges": [[0, 1, -1.0, "Low"], [0, 1, 1.0, "Low"]]},
+         "edge 0: distance -1.0 not positive"),
+        ({"nodes": 0, "edges": [[0, 1, -1.0, "Low"]]},
+         "node count 0 below 1"),
+    ])
+    def test_a_document_with_two_faults_names_the_first(self, doc, message):
+        with pytest.raises(ValueError) as caught:
+            environment_from_dict(doc)
+        assert str(caught.value) == message
+
+
 def self_doc():
     return {"nodes": 3,
             "edges": [[0, 1, 1.0, "Low"], [1, 2, 2.0, "High"]]}

@@ -345,7 +345,7 @@ class TestOverlayTable:
 
 class TestHeatedRowMemo:
     """apply_heat memoizes each heated row with its effective success per
-    heat and edge number; a _Heat keeps its first overlay's lists."""
+    heat and edge number; a _Heat keeps the lists of its first call."""
 
     HEATS = (0.0, 1e-16, 0.25, 0.5, 0.998)
 
@@ -403,15 +403,12 @@ class TestHeatedRowMemo:
             for _ in range(3):
                 heat_map = self.random_heat(rng, g)
                 heat = human._Heat(heat_map)
-                first = heat.overlay(g)
-                kept = list(heat._effs)
-                again = heat.overlay(g)
-                assert again.overrides is heat._rows
-                assert again._effs is heat._effs
-                assert (again.overrides, again._effs) == \
-                    (first.overrides, first._effs)
-                apply_heat(again, self.random_heat(rng, g))
+                effs = heat.effs(g)
+                rows, kept = heat._rows, list(effs)
+                assert heat.effs(g) is effs and heat._rows is rows
                 hot = apply_heat(g, heat_map)
+                assert (rows, effs) == (hot.overrides, hot._effs)
+                apply_heat(hot, self.random_heat(rng, g))
                 assert heat.lowers(g) == all(
                     hot.effective(g.edge(*key)) <= g.effective(g.edge(*key))
                     for key in heat_map)

@@ -398,7 +398,8 @@ class TestSweepTables:
                 return done
 
         monkeypatch.setattr(sim, "_run_chunk", record)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            InProcess)
         monkeypatch.setattr(sim, "_WORKER", {})
         g = load_default_environment()
         base = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0,
@@ -443,7 +444,8 @@ class TestSweepTables:
                 return done
 
         monkeypatch.setattr(sim, "_run_chunk", first_batches)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            InProcess)
         monkeypatch.setattr(sim, "_WORKER", {})
         g = load_default_environment()
         base = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0,

@@ -16,7 +16,8 @@ from risknav import (MissionPlan, MissionSpec, Path, UnreachableNodeError,
                      shortest_distance_path)
 from risknav.human import (HeatParams, HumanState, apply_heat,
                            build_heat_map, predict_human_path)
-from risknav.planner import _heat_proof_path, _permutations, check_reachable
+from risknav.planner import (_heat_proof, _permutations, _to_path,
+                             check_reachable)
 from risknav.sim import _redirect_target
 
 from conftest import (RISK_CLASSES, oracle_max_success, oracle_shortest,
@@ -193,7 +194,7 @@ class TestPathsFromEntries:
             for s, t in itertools.product(g.nodes, g.nodes):
                 found = [plan(graph, s, t) for graph in (g, hot) for plan in
                          (max_success_path, shortest_distance_path)]
-                found.append(_heat_proof_path(g, s, t, heat))
+                found.append(_to_path(_heat_proof(g, s, t, heat)))
                 found.append(_redirect_target(g, mission, s, (t,)))
                 for path, graph in zip(found, (g, g, hot, hot, g, g)):
                     assert path is None or path == Path(
@@ -271,7 +272,7 @@ class TestHeatProofPath:
                 for s, t in itertools.permutations(g.nodes, 2):
                     base = max_success_path(g, s, t)
                     avoided += not crosses(base.nodes, heat)
-                    path = _heat_proof_path(g, s, t, heat)
+                    path = _to_path(_heat_proof(g, s, t, heat))
                     if path is None:
                         continue
                     proved += 1
@@ -285,10 +286,10 @@ class TestHeatProofPath:
 
     def test_nothing_is_searched_without_a_held_tree(self):
         g = environment_from_dict(grid_doc())
-        assert _heat_proof_path(g, 0, 2, {}) is None
+        assert _heat_proof(g, 0, 2, {}) is None
         assert not g.memo("prob")
         max_success_path(g, 0, 2)
-        assert _heat_proof_path(g, 0, 2, {}) == max_success_path(g, 0, 2)
+        assert _to_path(_heat_proof(g, 0, 2, {})) == max_success_path(g, 0, 2)
 
     def test_a_path_that_avoids_the_heat_is_not_enough(self):
         # (0.65 * 0.84) * 0.36 rounds above (0.65 * 0.36) * 0.84, so the
@@ -317,7 +318,7 @@ class TestHeatProofPath:
         found = max_success_path(hot, 0, 6)
         assert found.nodes == (0, 4, 5, 3, 6)
         assert found.success_probability == base.success_probability
-        assert _heat_proof_path(g, 0, 6, heat) is None
+        assert _heat_proof(g, 0, 6, heat) is None
 
 
 @functools.cache

@@ -2,7 +2,11 @@
 
 import gc
 import json
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 import weakref
 from concurrent.futures import Future
 from dataclasses import replace
@@ -10,13 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import risknav
 from risknav import (EpisodeConfig, EpisodeOutcome, HeatParams,
                      HumanState, apply_heat, build_heat_map, env,
                      environment_from_dict, human, load_default_environment,
                      load_default_mission, max_success_path,
-                     mission_from_dict, order_tasks, predict_human_path,
-                     run_episode, run_sweep, shortest_distance_path, sim,
-                     step_human, summarize)
+                     mission_from_dict, order_tasks, planner,
+                     predict_human_path, run_episode, run_sweep,
+                     shortest_distance_path, sim, step_human, summarize)
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
 
@@ -587,9 +592,9 @@ class TestGraphMemo:
         edge = g.edge(1, 2)
         base = max_success_path(g, 0, 1)  # the tree of 0 is held
         heated = []
-        monkeypatch.setattr(sim, "max_success_path",
+        monkeypatch.setattr(sim, "_search",
                             lambda *args: heated.append(args)
-                            or max_success_path(*args))
+                            or planner._search(*args))
         parked = HumanState(2, None, 0.0, (2,))
         for path_heat, lowers in ((0.5, True), (1e-16, False)):
             table = human._human_table(g, HeatParams(path_heat, 0.0))
@@ -598,7 +603,8 @@ class TestGraphMemo:
             hot = apply_heat(g, heat.map)
             assert (hot.effective(edge) <= g.effective(edge)) == lowers
             assert heat.lowers(g) is lowers
-            assert sim._heat_proof_path(g, 0, 1, heat.map) == base
+            assert planner._to_path(sim._heat_proof(g, 0, 1, heat.map)) \
+                == base
             del heated[:]
             step = sim._plan_step(g, 0, 1, heat)
             assert len(heated) == (not lowers)
@@ -666,7 +672,8 @@ class TestRunSweep:
                 done.set_result(fn(job))
                 return done
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(sim, "_WORKER", {})
         base = EpisodeConfig(default_env, default_mission, HeatParams(),
                              0.0, 5)
@@ -676,6 +683,18 @@ class TestRunSweep:
         # two levels are two jobs, so a third process would sit idle
         run_sweep(base, [0.0, 0.6], 50, workers=3)
         assert pools == [2]
+
+    def test_the_process_pool_loads_only_when_a_sweep_forks(self):
+        # importing the package and loading the bundled map leaves the
+        # pool's modules out, in a fresh interpreter
+        src = pathlib.Path(risknav.__file__).parents[1]
+        code = ("import sys, risknav; risknav.load_default_environment(); "
+                "print('concurrent.futures.process' in sys.modules, "
+                "'multiprocessing' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stdout) == (0, "False False\n")
 
     def test_level_outside_unit_interval_rejected(self, default_env,
                                                   default_mission):
@@ -693,7 +712,8 @@ class TestRunSweep:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(sim, "run_episode", refuse)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            refuse)
         base = EpisodeConfig(default_env, default_mission, HeatParams(),
                              0.0, 0)
         with pytest.raises(ValueError,

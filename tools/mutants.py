@@ -1,5 +1,6 @@
 """Run Tier-1 against one-line mutants of the episode tick in both
-engines, of sweep seeding, of task ordering and of the heat overlay.
+engines, of sweep seeding, of task ordering, of the heat overlay and of
+the graph's adjacency.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -28,12 +29,13 @@ COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 SIM = "src/risknav/sim.py"
 PLANNER = "src/risknav/planner.py"
 HUMAN = "src/risknav/human.py"
+ENV = "src/risknav/env.py"
 LOCKSTEP = "src/risknav/_lockstep.py"
 
 # (name, file, old text, new text); each changes one line of the scalar
 # tick or of its lockstep twin, of the seeding of a sweep batch, of the
 # task-order scorer or its gather table, of the overlay's effective-success
-# list or of the heated-row memo
+# list or of the heated-row memo, or of the graph's hop rows
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -93,6 +95,17 @@ MUTANTS = (
     ("memo keeps the unheated effective success", HUMAN,
      "hit = per[i] = (row, effective_success(row))",
      "hit = per[i] = (row, effective_success(p))"),
+    ("distances summed over every order", PLANNER,
+     "total_dist = d + dist.take(gather[0, top])\n"
+     "        for ix in gather[1:, top]:",
+     "total_dist = d + dist.take(gather[0])\n"
+     "        for ix in gather[1:]:"),
+    ("hop rows left unsorted", ENV,
+     "self._hops[node] = tuple(sorted(row))",
+     "self._hops[node] = tuple(row)"),
+    ("tick reads the base row", SIM,
+     "row = heat._rows.get(key) or g.probs(g.edges[key])",
+     "row = g.probs(g.edges[key])"),
 )
 
 
