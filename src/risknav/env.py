@@ -83,9 +83,10 @@ class Edge:
         return (self.a, self.b)
 
 
-def _full(table):
-    """Whether a per-tick memo table must be emptied before it grows."""
-    return len(table) > _STEP_MEMO_LIMIT
+def _full(table, room=1):
+    """Whether a per-tick memo table must be emptied before it takes room
+    more entries, which could take it past _STEP_MEMO_LIMIT + 1."""
+    return len(table) + room > _STEP_MEMO_LIMIT + 1
 
 
 def _remember(table, key, value):

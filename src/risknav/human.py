@@ -10,19 +10,29 @@ Predicted presence is projected onto the graph as edge "heat"; heat scales
 success mass down (blocked attempts become retries, never catastrophes).
 
 A graph's memo holds one table of human states per set of heat parameters:
-each state reached gets an int id, and its row keeps its successors' ids
-and its heat map, filled when first needed.  step_human is an intern into
-that table plus one step of it; an episode carries the id from tick to
-tick.
+each state reached gets an int id, and stdlib-array columns indexed by id
+keep its successors' ids and its heat map's, filled when first needed.
+The table also numbers the robot's steps per heat map, robot and
+waypoint.  Both episode engines read these columns, and one rule, full,
+says when the table is emptied, which happens only between ticks.
+step_human is an intern into that table plus one step of it; an episode
+carries the id from tick to tick.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .env import (HeatedGraph, OutcomeProbs, _full, _is_number, _remember,
                   effective_success)
-from .planner import _best
+from .planner import _best, _heat_proof, _search
+
+# A human table's steps keep one cell per heat, robot node and waypoint;
+# past this many cells the table is emptied between ticks, and a sweep
+# batch that could pass it in one loop step, one new heat per episode,
+# runs on the scalar loop.
+_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -160,18 +170,16 @@ def apply_heat(g, heat_map):
 class _Heat:
     """One heat map of a human table.
 
-    id is its number in the table, which sets it and keys its steps by
-    it; items is the frozenset of its (edge key, heat) pairs, which keys
-    it in the table; map is the map itself.  Its heated rows by edge key
+    items is the frozenset of its (edge key, heat) pairs, which keys it
+    in the table; map is the map itself.  Its heated rows by edge key
     and its patched copy of the graph's effective-success list come from
     apply_heat on the first call of effs and are kept, but never an
     overlay, which would refer to the graph.
     """
 
-    __slots__ = ("id", "items", "map", "_rows", "_effs", "_lowers")
+    __slots__ = ("items", "map", "_rows", "_effs", "_lowers")
 
     def __init__(self, heat_map):
-        self.id = None
         self.items = frozenset(heat_map.items())
         self.map = heat_map
         self._rows = self._effs = self._lowers = None
@@ -196,67 +204,81 @@ class _Heat:
 class _HumanTable:
     """Every human state reached on one graph, each under an int id.
 
-    Row i of rows is [state i, the id of its follow successor, the ids of
-    its divergence successors by neighbour index, its _Heat under params],
-    each filled when first needed; states with equal heat maps share one
-    _Heat.  A divergence successor is predicted once per (new position,
-    goal, uncertainty), whichever state diverged there.  steps holds the
-    robot's steps under each _Heat (a _lockstep._Steps) and cols the
-    lockstep engine's int columns of the rows.  Once full, past
-    _STEP_MEMO_LIMIT rows or when its heats fill the steps' cells, the
-    table drops its ids, rows, heats and steps together, since rows hold
-    ids and steps are kept per heat id; only the id that the latest intern
-    or step returned stays valid, so a caller keeps that one.  A pinned
-    table is never dropped by an intern: its holder keeps many ids and
-    calls reintern between its steps instead.
+    states holds the states by id and ids their ids; the columns are
+    stdlib arrays indexed by id, which the scalar tick reads as ints and
+    the lockstep engine through numpy views: pos, goal (-1 for none) and
+    deg, the position's degree; follow_ids and heat_ids, the id of the
+    follow successor and of the heat map in heats; and first, where the
+    divergence successors start in divs, one slot per neighbour and at
+    least one, so a gather at first of a degree-0 state stays in bounds.
+    Successors and heats are filled when first needed, -1 until then.
+    States with equal heat maps share one _Heat, and a divergence
+    successor is predicted once per (new position, goal, uncertainty),
+    whichever state diverged there.  steps holds the robot's steps under
+    each heat (a _Steps).
 
-    The graph's memo holds the table, and the table never refers to the
-    graph: each call that reads it takes g.
+    The table grows within a tick and is emptied only between ticks, by
+    whoever holds ids: once full, reintern drops every state, heat and
+    step, since states hold ids and steps are kept per heat id, and gives
+    the held states new ids.  The graph's memo holds the table, and the
+    table never refers to the graph: each call that reads it takes g.
     """
 
-    __slots__ = ("params", "pinned", "ids", "rows", "heats", "diverged",
-                 "cols", "steps")
+    _COLUMNS = ("pos", "goal", "deg", "follow_ids", "heat_ids", "first",
+                "divs")
+    __slots__ = ("params", "ids", "states", "heats", "heat_keys",
+                 "diverged", "steps") + _COLUMNS
 
     def __init__(self, params):
         self.params = params
-        self.pinned = False
-        self.ids = {}
-        self.rows = []
-        self.heats = {}
-        self.diverged = {}
-        self.cols = None
+        self.ids, self.states, self.heats = {}, [], []
+        self.heat_keys, self.diverged = {}, {}
+        for name in self._COLUMNS:
+            setattr(self, name, array("q"))
         self.steps = None
 
     def clear(self):
-        """Drop every row, id, heat, step and column, keeping the
-        containers that callers may hold."""
-        for table in (self.ids, self.rows, self.heats, self.diverged):
+        """Drop every state, id, heat and step, keeping the containers
+        that callers hold."""
+        for table in (self.ids, self.states, self.heats, self.heat_keys,
+                      self.diverged):
             table.clear()
-        self.cols = None
+        for name in self._COLUMNS:
+            del getattr(self, name)[:]
         if self.steps is not None:
             self.steps.clear()
 
     def full(self):
-        """Whether the table is to be dropped before it takes a row."""
-        return _full(self.rows) or (self.steps is not None
-                                    and self.steps.full(len(self.heats)))
+        """Whether the table is to be emptied before a tick, which adds at
+        most two states, one heat and one step: so that it never holds
+        more than _STEP_MEMO_LIMIT + 1 states or steps, nor its heats more
+        than _CELLS cells and one heat's."""
+        steps = self.steps
+        return _full(self.states, 2) or steps is not None and (
+            _full(steps.nodes) or len(self.heats) * steps.width > _CELLS)
 
-    def intern(self, h):
+    def intern(self, g, h):
         """The id of state h, given a new row if h is new."""
         hid = self.ids.get(h)
         if hid is None:
-            if not self.pinned and self.full():
-                self.clear()
-            hid = self.ids[h] = len(self.rows)
-            self.rows.append([h, None, None, None])
+            hid = self.ids[h] = len(self.states)
+            deg = len(g._hops[g.check_node(h.position)])
+            self.states.append(h)
+            self.pos.append(h.position)
+            self.goal.append(-1 if h.goal is None else h.goal)
+            self.deg.append(deg)
+            self.follow_ids.append(-1)
+            self.heat_ids.append(-1)
+            self.first.append(len(self.divs))
+            self.divs.extend([-1] * max(deg, 1))
         return hid
 
-    def reintern(self, hids):
-        """Drop a full table but the states of hids; returns a dict from
+    def reintern(self, g, hids):
+        """Empty the table but the states of hids; returns a dict from
         each of hids to the id of its state in the emptied table."""
-        states = {hid: self.rows[hid][0] for hid in hids}
+        states = {hid: self.states[hid] for hid in hids}
         self.clear()
-        return {hid: self.intern(h) for hid, h in states.items()}
+        return {hid: self.intern(g, h) for hid, h in states.items()}
 
     def step(self, g, hid, rng):
         """The id of the human one tick after state hid.
@@ -265,57 +287,128 @@ class _HumanTable:
         and with probability u the human diverges, drawing integers(deg)
         only on a node with neighbours; otherwise it follows.
         """
-        row = self.rows[hid]
-        u = row[0].uncertainty
+        u = self.states[hid].uncertainty
         if u > 0.0 and rng.random() < u:
-            out = row[2]
-            if out is None:
-                out = self._out(g, row)
-            if not out:
+            deg = self.deg[hid]
+            if not deg:
                 return hid
-            k = rng.integers(len(out))
-            nxt = out[k]
-            return self.diverge(g, hid, k) if nxt is None else nxt
-        nxt = row[1]
-        return self.follow(g, hid) if nxt is None else nxt
-
-    def _out(self, g, row):
-        """The row's divergence successors by neighbour index, made when
-        first needed."""
-        if row[2] is None:
-            row[2] = [None] * len(g._hops[row[0].position])
-        return row[2]
+            k = rng.integers(deg)
+            nxt = self.divs[self.first[hid] + k]
+            return self.diverge(g, hid, k) if nxt < 0 else nxt
+        nxt = self.follow_ids[hid]
+        return self.follow(g, hid) if nxt < 0 else nxt
 
     def follow(self, g, hid):
         """The id of state hid's follow successor, filled when needed."""
-        row = self.rows[hid]
-        if row[1] is None:
-            row[1] = self.intern(_follow(g, row[0]))
-        return row[1]
+        nxt = self.follow_ids[hid]
+        if nxt < 0:
+            nxt = self.intern(g, _follow(g, self.states[hid]))
+            self.follow_ids[hid] = nxt
+        return nxt
 
     def diverge(self, g, hid, k):
         """The id of state hid's divergence successor toward its k-th
         neighbour, filled when needed."""
-        row = self.rows[hid]
-        out = self._out(g, row)
-        if out[k] is None:
-            h = row[0]
+        slot = self.first[hid] + k
+        nxt = self.divs[slot]
+        if nxt < 0:
+            h = self.states[hid]
             key = (g._hops[h.position][k][0], h.goal, h.uncertainty)
             nxt = self.diverged.get(key)
             if nxt is None:
-                nxt = self.intern(_predicted(g, *key))
-                self.diverged[key] = nxt
-            out[k] = nxt
-        return out[k]
+                nxt = self.diverged[key] = self.intern(g, _predicted(g, *key))
+            self.divs[slot] = nxt
+        return nxt
 
     def heat(self, g, hid):
-        """The _Heat of state hid under params."""
-        row = self.rows[hid]
-        if row[3] is None:
-            heat = _Heat(build_heat_map(g, row[0], self.params))
-            heat.id = len(self.heats)
-            row[3] = self.heats.setdefault(heat.items, heat)
-        return row[3]
+        """The id in heats of state hid's heat map under params, filled
+        when needed; a new heat gets its cells in steps."""
+        heat = self.heat_ids[hid]
+        if heat < 0:
+            hot = _Heat(build_heat_map(g, self.states[hid], self.params))
+            heat = self.heat_keys.setdefault(hot.items, len(self.heats))
+            if heat == len(self.heats):
+                self.heats.append(hot)
+                if self.steps is not None:
+                    self.steps.reserve(len(self.heats))
+            self.heat_ids[hid] = heat
+        return heat
+
+
+class _Steps:
+    """A human table's steps toward one mission's waypoints, by number:
+    the step store of both engines.
+
+    cells holds one row per heat id, of one cell per (robot, index of the
+    target in waypoints) holding that step's number, -1 until filled.  By
+    number, nodes holds the nodes of _plan_step's path, and the columns
+    nxt, ps, psr and eff its next node, the heated p_success and
+    p_success + p_retry of its first edge and that row's effective
+    success.
+    """
+
+    __slots__ = ("waypoints", "width", "cells", "nodes", "nxt", "ps", "psr",
+                 "eff")
+
+    def __init__(self, n, waypoints):
+        self.waypoints = waypoints
+        self.width = n * len(waypoints)
+        self.cells, self.nodes, self.nxt = array("i"), [], array("q")
+        self.ps, self.psr, self.eff = array("d"), array("d"), array("d")
+
+    def clear(self):
+        """Forget every step and cell."""
+        for column in (self.cells, self.nodes, self.nxt, self.ps, self.psr,
+                       self.eff):
+            del column[:]
+
+    def reserve(self, heats):
+        """Give heat ids below heats their cells."""
+        self.cells.extend(array("i", [-1]) * (heats * self.width
+                                              - len(self.cells)))
+
+    def step(self, g, heats, heat, robot, target, way):
+        """The number of the step from robot toward target, the way-th
+        waypoint, under heats[heat], planned and numbered when new."""
+        cell = heat * self.width + robot * len(self.waypoints) + way
+        number = self.cells[cell]
+        if number < 0:
+            nodes, row, eff = _plan_step(g, robot, target, heats[heat])
+            number = self.cells[cell] = len(self.nodes)
+            self.nodes.append(nodes)
+            self.nxt.append(nodes[1])
+            self.ps.append(row.p_success)
+            self.psr.append(row.p_success + row.p_retry)
+            self.eff.append(eff)
+        return number
+
+
+def _steps(table, g, mission):
+    """table's _Steps toward mission's waypoints, made anew for another
+    mission."""
+    waypoints = mission.tasks + (mission.end,)
+    if table.steps is None or table.steps.waypoints != waypoints:
+        table.steps = _Steps(g.node_count, waypoints)
+        table.steps.reserve(len(table.heats))
+    return table.steps
+
+
+def _plan_step(g, robot, target, heat):
+    """The step toward target under a human table's _Heat: the nodes of
+    the max-success path on the heated map, the heated outcome row of its
+    first edge and that row's effective success.  The path is g's when the
+    planner proves the heated search returns it and the heat raises no
+    effective success; else a search to target runs on the heat's list."""
+    entry = _heat_proof(g, robot, target, heat.map)
+    effs = heat.effs(g)
+    if entry is None or not heat.lowers(g):
+        entry = _search(g, effs, robot, target).get(target)
+        if entry is None:
+            raise RuntimeError(f"objective {target} unreachable from {robot}")
+    nodes = entry[2]
+    key = (robot, nodes[1]) if robot < nodes[1] else (nodes[1], robot)
+    row = heat._rows.get(key) or g.probs(g.edges[key])
+    return nodes, row, effs[g._index[key]]
 
 
 def _human_table(g, params):
@@ -357,4 +450,6 @@ def step_human(g, h, rng):
     Generator.  The step is read from g's table of human states.
     """
     table = _human_table(g, None)
-    return table.rows[table.step(g, table.intern(h), rng)][0]
+    if table.full():
+        table.clear()
+    return table.states[table.step(g, table.intern(g, h), rng)]

@@ -11,7 +11,10 @@ derived from (base seed, level index, episode index), so results are
 independent of worker count and batching.  run_episode runs the scalar
 tick loop, _ticks; _lockstep steps a sweep job's episodes together, one
 numpy step per tick for every live episode, with exactly the draws of
-the scalar loop, so both engines give the same CSV byte for byte.
+the scalar loop, so both engines give the same CSV byte for byte.  Both
+read the human table of human.py, whose columns hold the human's
+successors, heats and the robot's steps, and both empty it only at the
+top of a tick, when it is full, keeping the ids they hold.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from dataclasses import dataclass, replace
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown)
-from .human import HeatParams, HumanState, _human_table, _predicted
-from .planner import (_best, _heat_proof, _search, _to_path,
-                      check_reachable, order_tasks)
+from .human import HeatParams, HumanState, _human_table, _predicted, _steps
+from .planner import _best, _to_path, check_reachable, order_tasks
 
 HOLD_TIMEOUT = "hold_timeout"
 CATASTROPHIC = "catastrophic"
@@ -206,30 +208,13 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                         default=None, key=lambda leg: (leg[1], leg[2][-1])))
 
 
-def _plan_step(g, robot, target, heat):
-    """The step toward target under a human table's _Heat: the nodes of
-    the max-success path on the heated map, the heated outcome row of its
-    first edge and that row's effective success.  The path is g's when the
-    planner proves the heated search returns it and the heat raises no
-    effective success; else a search to target runs on the heat's list."""
-    entry = _heat_proof(g, robot, target, heat.map)
-    effs = heat.effs(g)
-    if entry is None or not heat.lowers(g):
-        entry = _search(g, effs, robot, target).get(target)
-        if entry is None:
-            raise RuntimeError(f"objective {target} unreachable from {robot}")
-    nodes = entry[2]
-    key = (robot, nodes[1]) if robot < nodes[1] else (nodes[1], robot)
-    row = heat._rows.get(key) or g.probs(g.edges[key])
-    return nodes, row, effs[g._index[key]]
-
-
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    The human is an id in g's table of human states for cfg.heat, which
-    holds each state's successors and heat map, and the robot's steps
-    (_plan_step's) per heat map, robot and objective; a heat overlay
+    The human is an id in g's table of human states for cfg.heat, whose
+    columns hold each state's successors and heat map, and the robot's
+    steps (human._plan_step's) per heat map, robot and objective; the
+    table is emptied at the top of a tick once full, and a heat overlay
     keeps it for one episode.  The robot moves only while the step's
     effective success is at least the mission threshold.  Only a redirect
     gives the human a goal, a safe spot.  Draws come from _Draws(cfg.seed),
@@ -249,8 +234,8 @@ def _episode(cfg, rng):
     else:
         robot = rng.integers(g.node_count)
     table = _human_table(g, cfg.heat)
-    hid = table.intern(_predicted(g, rng.integers(g.node_count), None,
-                                  cfg.uncertainty))
+    hid = table.intern(g, _predicted(g, rng.integers(g.node_count), None,
+                                     cfg.uncertainty))
     route = order_tasks(g, mission, robot).ordered_tasks
     return _ticks(g, mission, table, rng, route, robot, hid)
 
@@ -261,12 +246,14 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
     the robot, its route and the index of its objective, the human's id
     in table, and the counters.  This scalar loop is the reference that
     the lockstep engine of a sweep reproduces."""
-    from . import _lockstep
-
-    rows = table.rows
-    store = _lockstep._steps(table, g, mission)
+    states, heat_ids = table.states, table.heat_ids
+    store = _steps(table, g, mission)
+    nodes, nxts, ps, psr, effs = (store.nodes, store.nxt, store.ps,
+                                  store.psr, store.eff)
     ways = [store.waypoints.index(t) for t in route]
     while True:
+        if table.full():
+            hid = table.reintern(g, (hid,))[hid]
         while idx < len(route) and robot == route[idx]:
             idx += 1
         if idx == len(route):
@@ -276,16 +263,17 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
         steps += 1
 
         hid = table.step(g, hid, rng)
-        row = rows[hid]
-        human = row[0]
+        human = states[hid]
         # ticks at the goal a redirect gave; 0 while the human has none
         settled = settled + 1 if human.position == human.goal else 0
-        heat = row[3] or table.heat(g, hid)
+        heat = heat_ids[hid]
+        if heat < 0:
+            heat = table.heat(g, hid)
 
-        nodes, probs, eff = store.plan(g, heat, robot, route[idx], ways[idx])
-        nxt = nodes[1]
+        s = store.step(g, table.heats, heat, robot, route[idx], ways[idx])
+        nxt = nxts[s]
 
-        if eff < mission.threshold:
+        if effs[s] < mission.threshold:
             holds += 1
             # A hold tick is often a human passing through, so only a second
             # consecutive one earns a request, once until the robot moves; a
@@ -295,9 +283,10 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
                     and (human.goal is None or settled >= 2)
                     and (robot in human.predicted_path
                          or nxt in human.predicted_path)):
-                leg = _redirect_target(g, mission, human.position, nodes)
+                leg = _redirect_target(g, mission, human.position,
+                                       nodes[s])
                 if leg is not None:
-                    hid = table.intern(HumanState(
+                    hid = table.intern(g, HumanState(
                         human.position, leg.nodes[-1], human.uncertainty,
                         leg.nodes))
                     redirects += 1
@@ -310,11 +299,11 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
         # the hold counter survives retry ticks; only actual movement
         # clears it
         draw = rng.random()
-        if draw < probs.p_success:
+        if draw < ps[s]:
             holds = 0
             redirect_tried = False
             robot = nxt
-        elif draw >= probs.p_success + probs.p_retry:
+        elif draw >= psr[s]:
             return EpisodeOutcome(False, CATASTROPHIC, steps, redirects,
                                   robot)
 

@@ -478,6 +478,15 @@ class TestStepHuman:
             step_human(g, HumanState(0, 5, 0.0, (0, 5)),
                        np.random.default_rng(0))
 
+    def test_a_position_that_is_not_a_node_is_refused(self):
+        # a negative position once read another node's neighbours
+        g = environment_from_dict(line_doc())
+        for pos in (5, -1):
+            for u in (0.0, 1.0):
+                with pytest.raises(ValueError, match=f"node {pos} outside"):
+                    step_human(g, HumanState(pos, None, u),
+                               np.random.default_rng(0))
+
     def test_arrived_human_stays_put(self):
         g = environment_from_dict(line_doc())
         h = HumanState(2, 2, 0.0, (2,))
@@ -565,3 +574,28 @@ class TestStepHuman:
                             or g.edge(h.position, nxt.position) is not None)
                     assert nxt.goal == aim
                     h = nxt
+
+    def test_the_table_of_a_stepped_human_stays_bounded(self, monkeypatch):
+        # step_human empties a full table before its intern and step, which
+        # add at most two states, and intern never empties it: the states
+        # and draws stay those of a graph whose memo is emptied every step
+        limit = 8
+        monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
+        g, fresh = load_default_environment(), load_default_environment()
+        sizes = []
+        for u in (0.3, 1.0):
+            for seed in range(6):
+                path = predict_human_path(g, HumanState(9, 0))
+                a = b = HumanState(9, 0, u, path)
+                ra = np.random.default_rng(seed)
+                rb = np.random.default_rng(seed)
+                for _ in range(15):
+                    fresh._memo.clear()
+                    a, b = step_human(g, a, ra), step_human(fresh, b, rb)
+                    assert a == b
+                    assert ra.bit_generator.state == rb.bit_generator.state
+                    table = g._memo["human"][None]
+                    sizes.append(len(table.states))
+                    assert len(table.ids) == sizes[-1]
+        assert max(sizes) == limit + 1
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 5

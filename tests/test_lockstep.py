@@ -258,10 +258,22 @@ class TestParity:
         assert report.rows[0].success_count == succ
         assert report.rows[0].total_redirects == sum(o[3] for o in outs)
 
+    def test_a_last_interned_state_of_degree_0_is_gathered_in_bounds(self):
+        # node 4 has no neighbour; a batch that interns a human there last
+        # gathers at that state's first divergence slot, which must exist
+        g, m = corridor([[0, 1, 1.0, "Low"], [1, 2, 1.0, "Low"],
+                         [2, 3, 1.0, "Low"]], 5, tasks=[3], end=2,
+                        safe_locations=[1])
+        cfg = EpisodeConfig(g, m, HeatParams(), 0.5, 0)
+        for seed in range(200):
+            seeds = episode_seeds(seed, 0, 3)
+            g._memo.clear()
+            assert _lockstep.outcomes(cfg, seeds) == scalar(cfg, seeds)
+
     def test_a_map_past_the_cell_budget_runs_on_the_scalar_loop(
             self, monkeypatch):
         # 30 nodes x 8 waypoints x 20 episodes is 4,800 cells
-        monkeypatch.setattr(_lockstep, "_CELLS", 4_799)
+        monkeypatch.setattr(human, "_CELLS", 4_799)
         monkeypatch.setattr(_lockstep, "_march", None)
         g = load_default_environment()
         cfg = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.5, 0)
@@ -300,24 +312,28 @@ class TestSweepTables:
         run_sweep(EpisodeConfig(g, other, HeatParams(0.9, 0.3), 0.0, 4),
                   [0.0, 0.7], 20)
 
-        # a low bound makes the human table clear between the loop steps
-        # of a batch, keeping the states of the live episodes
+        # a low bound makes the human table empty itself between the loop
+        # steps of a batch, only when full, keeping the states of the live
+        # episodes
         limit = 8
         monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
         kept = []
         real = human._HumanTable.reintern
 
-        def reintern(table, hids):
-            assert table.pinned
+        def reintern(table, g, hids):
+            assert table.full()
             kept.append(len(hids))
-            return real(table, hids)
+            return real(table, g, hids)
 
         monkeypatch.setattr(human._HumanTable, "reintern", reintern)
         assert sweep(g) == fresh
         assert len(kept) > 3 * len(levels) and max(kept) > limit
         table = g._memo["human"][HeatParams()]
-        assert not table.pinned
-        assert len(table.rows) == len(table.ids)
+        n = len(table.states)
+        assert n == len(table.ids)
+        assert [len(getattr(table, c)) for c in table._COLUMNS[:-1]] \
+            == [n] * 6
+        assert len(table.divs) == sum(max(d, 1) for d in table.deg)
         assert _lockstep.outcomes(replace(cfg, environment=g), seeds) \
             == fresh_episodes
 
@@ -345,8 +361,10 @@ class TestSweepTables:
 
     def test_steps_past_the_cell_budget_empty_the_table(self, monkeypatch):
         # 30 nodes x 8 waypoints is 240 cells a heat: with a budget of
-        # 2,400 cells the table is emptied past 10 heats, its cells never
-        # pass twice the budget, and episodes stay those of a fresh graph
+        # 2,400 cells the table is emptied past 10 heats, at the top of the
+        # tick after the one that made the 11th, so its cells never pass the
+        # budget by more than one heat's; episodes stay those of a fresh
+        # graph
         g = load_default_environment()
         mission = load_default_mission(g)
         configs = [(u, seed) for u in (0.5, 1.0) for seed in range(12)]
@@ -357,7 +375,7 @@ class TestSweepTables:
                     for u, seed in configs]
 
         fresh = outcomes(load_default_environment())
-        monkeypatch.setattr(_lockstep, "_CELLS", 2_400)
+        monkeypatch.setattr(human, "_CELLS", 2_400)
         clears, sizes = [], []
         real = human._HumanTable.clear
 
@@ -371,7 +389,7 @@ class TestSweepTables:
         table = g._memo["human"][HeatParams()]
         sizes.append(len(table.steps.cells))
         assert len(clears) > 3 and max(clears) == 11
-        assert max(sizes) <= 2 * 2_400
+        assert max(sizes) == 2_400 + 240
 
     def test_every_worker_gets_a_job(self, monkeypatch):
         # jobs of 1,000 episodes, or smaller ones, down to 250, when that

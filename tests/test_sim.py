@@ -358,30 +358,44 @@ class TestGraphMemo:
         run_sweep(EpisodeConfig(g, other, HeatParams(0.9, 0.3), 0.0, 4),
                   [0.0, 0.7], 20)
         assert g._memo["plan"]
-        assert g._memo["human"][HeatParams(0.9, 0.3)].steps.plans
+        assert g._memo["human"][HeatParams(0.9, 0.3)].steps.nodes
 
-        # a low bound makes the steps and the human table clear themselves
+        # a low bound makes the steps and the human table empty themselves
         # inside episodes
         limit = 8
         monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
         misses = {"step": [], "heat": []}
-        for name, mod, attr in (("step", sim, "_plan_step"),
-                                ("heat", human, "build_heat_map")):
-            def counted(*args, _real=getattr(mod, attr), _log=misses[name],
+        for name, attr in (("step", "_plan_step"),
+                           ("heat", "build_heat_map")):
+            def counted(*args, _real=getattr(human, attr), _log=misses[name],
                         **kwargs):
                 _log.append(None)
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(mod, attr, counted)
+            monkeypatch.setattr(human, attr, counted)
 
-        # each intern is logged as (episode, new state, table cleared); a
-        # new state clears a full table before it takes its row
-        interns = []
+        # interns, table steps and reinterns are logged as (episode, what);
+        # a tick adds at most two states and one step, so at each human
+        # step, inside a tick, the table stays within the bound
+        events = []
 
-        def intern(table, h, _real=human._HumanTable.intern):
-            new, full = h not in table.ids, len(table.rows) > limit
-            interns.append((len(used), new, new and full))
-            return _real(table, h)
-        monkeypatch.setattr(human._HumanTable, "intern", intern)
+        def intern(table, g, h, _real=human._HumanTable.intern):
+            events.append((len(used), "new" if h not in table.ids else "old"))
+            return _real(table, g, h)
+
+        def step(table, g, hid, rng, _real=human._HumanTable.step):
+            assert len(table.states) <= limit + 1
+            assert len(table.steps.nodes) <= limit + 1
+            events.append((len(used), "step"))
+            return _real(table, g, hid, rng)
+
+        def reintern(table, g, hids, _real=human._HumanTable.reintern):
+            assert table.full()
+            events.append((len(used), "reintern"))
+            return _real(table, g, hids)
+
+        for name, wrapper in (("intern", intern), ("step", step),
+                              ("reintern", reintern)):
+            monkeypatch.setattr(human._HumanTable, name, wrapper)
         used, most = [], 0
         for u, seed in configs:
             before = len(misses["step"])
@@ -390,19 +404,20 @@ class TestGraphMemo:
         assert most > limit + 1
         for log in misses.values():
             assert len(log) > limit + 1
-        assert sum(new for _, new, _ in interns) > limit + 1
-        # a clear after an episode's first intern: the episode goes on
-        # with the id that the clearing intern returned
-        firsts = {}
-        for i, (episode, _, cleared) in enumerate(interns):
-            firsts.setdefault(episode, i)
-            if cleared and firsts[episode] < i:
+        assert sum(what == "new" for _, what in events) > limit + 1
+        # a table emptied after an episode's first tick: the episode goes
+        # on with the id that reintern returned
+        stepped = set()
+        for episode, what in events:
+            if what == "step":
+                stepped.add(episode)
+            elif what == "reintern" and episode in stepped:
                 break
         else:
-            pytest.fail("no table cleared inside an episode")
+            pytest.fail("no table emptied inside an episode")
         table = g._memo["human"][HeatParams()]
-        assert len(table.steps.plans) <= limit + 1
-        assert len(table.rows) == len(table.ids) <= limit + 1
+        assert len(table.steps.nodes) <= limit + 1
+        assert len(table.states) == len(table.ids) <= limit + 1
         assert used == fresh
 
     def test_a_pickled_graph_carries_no_memo(self):
@@ -412,7 +427,7 @@ class TestGraphMemo:
         clone = pickle.loads(pickle.dumps(g))
         for name in ("plan", "prob", "heated", "human"):
             assert g._memo[name]
-        assert g._memo["human"][HeatParams()].steps.plans
+        assert g._memo["human"][HeatParams()].steps.nodes
         assert clone._memo == {}
         assert clone == g
 
@@ -460,26 +475,39 @@ class TestGraphMemo:
                     assert a == b
                     assert ra.bit_generator.state == rb.bit_generator.state
 
-            # every filled cell of the human tables holds what the pure
-            # functions give: successor states and the heat under params
+            # every column of the human tables holds what the states give,
+            # each state's divergence slots, at least one, follow the last
+            # state's, and every filled cell holds what the pure functions
+            # give: successor states and the heat under params
             heated = 0
             for params, table in used._memo["human"].items():
-                for state, follow, diverge, heat in table.rows:
-                    if follow is not None:
-                        assert table.rows[follow][0] \
-                            == human._follow(used, state)
+                slot = 0
+                for hid, state in enumerate(table.states):
+                    assert table.ids[state] == hid
                     nbrs = used.neighbors(state.position)
-                    for k, nxt in enumerate(diverge or ()):
-                        if nxt is not None:
-                            assert table.rows[nxt][0] == human._predicted(
-                                used, nbrs[k][0], state.goal,
-                                state.uncertainty)
-                    if heat is not None:
+                    assert (table.pos[hid], table.goal[hid], table.deg[hid],
+                            table.first[hid]) == (
+                        state.position,
+                        -1 if state.goal is None else state.goal,
+                        len(nbrs), slot)
+                    slot += max(len(nbrs), 1)
+                    follow = table.follow_ids[hid]
+                    if follow >= 0:
+                        assert table.states[follow] \
+                            == human._follow(used, state)
+                    for k, (nbr, _) in enumerate(nbrs):
+                        nxt = table.divs[table.first[hid] + k]
+                        if nxt >= 0:
+                            assert table.states[nxt] == human._predicted(
+                                used, nbr, state.goal, state.uncertainty)
+                    if table.heat_ids[hid] >= 0:
                         heated += 1
+                        heat = table.heats[table.heat_ids[hid]]
                         heat_map = build_heat_map(used, state, params)
                         assert heat.map == heat_map
                         assert heat.items == frozenset(heat_map.items())
-                        assert table.heats[heat.items] is heat
+                        assert table.heat_keys[heat.items] \
+                            == table.heat_ids[hid]
                         hot = apply_heat(used, heat_map)
                         if heat._rows is not None:
                             assert heat._rows == hot.overrides
@@ -499,7 +527,7 @@ class TestGraphMemo:
 
         def checked(table, g, hid, rng):
             nxt = real(table, g, hid, rng)
-            seen.extend((table.rows[hid][0], table.rows[nxt][0]))
+            seen.extend((table.states[hid], table.states[nxt]))
             return nxt
 
         monkeypatch.setattr(human._HumanTable, "step", checked)
@@ -573,7 +601,7 @@ class TestGraphMemo:
             ref = weakref.ref(g)
             run_sweep(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                     0.0, 5), [0.0, 0.5], 20)
-            assert g._memo["human"][HeatParams()].steps.plans
+            assert g._memo["human"][HeatParams()].steps.nodes
             del g
             assert ref() is None
         finally:
@@ -592,21 +620,21 @@ class TestGraphMemo:
         edge = g.edge(1, 2)
         base = max_success_path(g, 0, 1)  # the tree of 0 is held
         heated = []
-        monkeypatch.setattr(sim, "_search",
+        monkeypatch.setattr(human, "_search",
                             lambda *args: heated.append(args)
                             or planner._search(*args))
         parked = HumanState(2, None, 0.0, (2,))
         for path_heat, lowers in ((0.5, True), (1e-16, False)):
             table = human._human_table(g, HeatParams(path_heat, 0.0))
-            heat = table.heat(g, table.intern(parked))
+            heat = table.heats[table.heat(g, table.intern(g, parked))]
             assert heat.map == {(1, 2): path_heat}
             hot = apply_heat(g, heat.map)
             assert (hot.effective(edge) <= g.effective(edge)) == lowers
             assert heat.lowers(g) is lowers
-            assert planner._to_path(sim._heat_proof(g, 0, 1, heat.map)) \
+            assert planner._to_path(planner._heat_proof(g, 0, 1, heat.map)) \
                 == base
             del heated[:]
-            step = sim._plan_step(g, 0, 1, heat)
+            step = human._plan_step(g, 0, 1, heat)
             assert len(heated) == (not lowers)
             assert step == (base.nodes, g.probs(g.edge(0, 1)),
                             g.effective(g.edge(0, 1)))
@@ -685,16 +713,19 @@ class TestRunSweep:
         assert pools == [2]
 
     def test_the_process_pool_loads_only_when_a_sweep_forks(self):
-        # importing the package and loading the bundled map leaves the
-        # pool's modules out, in a fresh interpreter
+        # importing the package and loading the bundled map and mission
+        # leaves the pool's modules and numpy out, in a fresh interpreter:
+        # numpy loads only with the first episode
         src = pathlib.Path(risknav.__file__).parents[1]
-        code = ("import sys, risknav; risknav.load_default_environment(); "
+        code = ("import sys, risknav; "
+                "risknav.load_default_mission("
+                "risknav.load_default_environment()); "
                 "print('concurrent.futures.process' in sys.modules, "
-                "'multiprocessing' in sys.modules)")
+                "'multiprocessing' in sys.modules, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               env=dict(os.environ, PYTHONPATH=str(src)))
-        assert (proc.returncode, proc.stdout) == (0, "False False\n")
+        assert (proc.returncode, proc.stdout) == (0, "False False False\n")
 
     def test_level_outside_unit_interval_rejected(self, default_env,
                                                   default_mission):

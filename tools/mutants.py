@@ -1,6 +1,6 @@
 """Run Tier-1 against one-line mutants of the episode tick in both
-engines, of sweep seeding, of task ordering, of the heat overlay and of
-the graph's adjacency.
+engines, of the human table, of sweep seeding, of task ordering, of the
+heat overlay and of the graph's adjacency.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -33,16 +33,17 @@ ENV = "src/risknav/env.py"
 LOCKSTEP = "src/risknav/_lockstep.py"
 
 # (name, file, old text, new text); each changes one line of the scalar
-# tick or of its lockstep twin, of the seeding of a sweep batch, of the
-# task-order scorer or its gather table, of the overlay's effective-success
-# list or of the heated-row memo, or of the graph's hop rows
+# tick or of its lockstep twin, of the human table's layout or emptying,
+# of the seeding of a sweep batch, of the task-order scorer or its gather
+# table, of the overlay's effective-success list or of the heated-row
+# memo, or of the graph's hop rows
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
      "(human.goal is None or settled >= 1)"),
     ("threshold <=", SIM,
-     "if eff < mission.threshold:",
-     "if eff <= mission.threshold:"),
+     "if effs[s] < mission.threshold:",
+     "if effs[s] <= mission.threshold:"),
     ("redirect_tried kept on a move", SIM,
      "            redirect_tried = False\n",
      "            pass\n"),
@@ -63,17 +64,17 @@ MUTANTS = (
      "hold = eff < mission.threshold",
      "hold = eff <= mission.threshold"),
     ("lockstep redirect_tried kept on a move", LOCKSTEP,
-     "            tried[ok] = False\n",
-     "            pass\n"),
+     "        tried[ok] = False\n",
+     "        pass\n"),
     ("lockstep patience 3", LOCKSTEP,
      "hold & (holds >= REDIRECT_PATIENCE)",
      "hold & (holds > REDIRECT_PATIENCE)"),
     ("lockstep holds kept on a move", LOCKSTEP,
-     "            holds[ok] = 0\n",
-     "            pass\n"),
+     "        holds[ok] = 0\n",
+     "        pass\n"),
     ("lockstep retry clears holds", LOCKSTEP,
-     "            wp += move\n",
-     "            wp += move; holds[move] = 0\n"),
+     "        wp += move\n",
+     "        wp += move; holds[move] = 0\n"),
     ("redirect tie-break reversed", SIM,
      "key=lambda leg: (leg[1], leg[2][-1])))",
      "key=lambda leg: (leg[1], -leg[2][-1])))"),
@@ -103,9 +104,15 @@ MUTANTS = (
     ("hop rows left unsorted", ENV,
      "self._hops[node] = tuple(sorted(row))",
      "self._hops[node] = tuple(row)"),
-    ("tick reads the base row", SIM,
+    ("tick reads the base row", HUMAN,
      "row = heat._rows.get(key) or g.probs(g.edges[key])",
      "row = g.probs(g.edges[key])"),
+    ("degree-0 row gets no slot", HUMAN,
+     "self.divs.extend([-1] * max(deg, 1))",
+     "self.divs.extend([-1] * deg)"),
+    ("a full table is never emptied at a tick", SIM,
+     "            hid = table.reintern(g, (hid,))[hid]\n",
+     "            pass\n"),
 )
 
 
