@@ -1,11 +1,12 @@
-"""The lockstep engine of a sweep: a batch of one level's episodes,
-stepped together with exactly the draws of the scalar loop.
+"""The lockstep engine of a sweep: a job's episodes, of any of its
+levels, stepped together with exactly the draws of the scalar loop.
 
 This is event-based Monte Carlo (Brown and Martin, Progress in Nuclear
-Energy, 1984): one loop step advances every live episode of the batch by
-one tick, as numpy gathers from the stdlib-array columns of the human
-table and of its numbered steps, the same columns that the scalar loop
-reads, through views that live for one gather.  Each episode still reads
+Energy, 1984): one loop step advances every live episode of the job by
+one tick, each at its own level's uncertainty, as numpy gathers from the
+stdlib-array columns of the human table and of its numbered steps, the
+same columns that the scalar loop reads, through views that live for one
+gather.  Each episode still reads
 its own PCG64 stream (O'Neill, 2014), a block of raw words at a time, so
 outcomes are those of sim._ticks, which stays the reference engine and
 finishes what this one hands off.  The table is emptied by its own rule,
@@ -19,10 +20,10 @@ from dataclasses import astuple
 import numpy as np
 
 from . import human, sim
-from .human import HumanState, _human_table, _predicted, _steps
+from .human import _human_table, _predicted, _steps
 from .planner import order_tasks
-from .sim import (_MASK32, CATASTROPHIC, HOLD_TIMEOUT, REDIRECT_PATIENCE,
-                  _Draws, _episode, _pcg64_states, _redirect_target,
+from .sim import (_MASK32, _NOT_ASKED, CATASTROPHIC, HOLD_TIMEOUT,
+                  REDIRECT_PATIENCE, _ask, _Draws, _episode, _pcg64_states,
                   _ticks)
 
 # A lockstep episode reads this many raw words of its stream, at most 3 a
@@ -60,31 +61,32 @@ def _bounded(words, wp, half, has, sel, n):
     return (m >> 32).astype(np.intp), m & _MASK32 < (2 ** 32 - n) % n
 
 
-def outcomes(cfg, seeds):
-    """The fields of the EpisodeOutcome of _episode(cfg, _Draws(s)) as a
-    tuple for each s of seeds, a numpy uint64 array, in order.
+def outcomes(levels, level, seeds):
+    """The fields of the EpisodeOutcome of _episode(levels[l], _Draws(s))
+    as a tuple for each l of level and s of seeds, a numpy uint64 array,
+    in order.  levels are EpisodeConfigs that differ at most in their
+    uncertainty, and level is a sequence of indices into them.
 
     _march steps the episodes in lockstep; those it hands off finish
     here, on _episode from their start or on _ticks from the start of a
-    tick.  When its episodes could bring more than human._CELLS cells in
-    one loop step, every episode runs alone.
+    tick.  When there are more episodes than human._lanes allows, every
+    episode runs alone.
     """
-    g, mission = cfg.environment, cfg.mission
+    g, mission = levels[0].environment, levels[0].mission
     ends = np.zeros((4, len(seeds)), np.intp)
-    cells = g.node_count * (len(mission.tasks) + 1) * len(seeds)
-    if cells <= human._CELLS:
-        tails = _march(cfg, _pcg64_states(seeds), ends)
+    if len(seeds) <= human._lanes(g, mission):
+        tails = _march(levels, level, _pcg64_states(seeds), ends)
     else:
         tails = [(i, None) for i in range(len(seeds))]
     outs = [(why == _WON, _CAUSES.get(why), steps, redirects, node)
             for why, steps, redirects, node in zip(*ends.tolist())]
     rng = _Draws(0)
-    table = _human_table(g, cfg.heat)
+    table = _human_table(g, levels[0].heat)
     for (i, state), start in zip(tails, _pcg64_states(
             seeds[[i for i, _ in tails]])):
         rng.reseed(start)
         if state is None:
-            outs[i] = astuple(_episode(cfg, rng))
+            outs[i] = astuple(_episode(levels[level[i]], rng))
             continue
         (robot, route, idx, h, steps, redirects, holds, tried, settled,
          unread, half) = state
@@ -95,28 +97,29 @@ def outcomes(cfg, seeds):
     return outs
 
 
-def _march(cfg, states, ends):
-    """Step in lockstep the episodes of outcomes, whose _pcg64_states
-    entries states yields.  ends gets, per episode that ends here, why it
-    ended and its steps, redirects and final node; the others are
-    returned, as (index, None) to run from their start or as (index,
-    state at the start of a tick).
+def _march(levels, level, states, ends):
+    """Step in lockstep the episodes of outcomes, at levels[l] for each l
+    of level, whose _pcg64_states entries states yields.  ends gets, per
+    episode that ends here, why it ended and its steps, redirects and
+    final node; the others are returned, as (index, None) to run from
+    their start or as (index, state at the start of a tick).
 
     One loop step advances every live episode by one tick, as numpy
     gathers from the columns of the human table and its _Steps, with the
-    draws _Draws would make.  An episode reads a block of _BLOCK raw
-    words of its stream: random() is a word's top 53 bits, and a 32-bit
-    draw takes a word's low half and keeps its high half.  A miss in the
-    table is filled by the scalar code and a redirect is found per
-    episode; a full table is emptied at the top of a loop step.  An
+    draws _Draws would make; an episode at uncertainty 0 draws nothing
+    for its human.  An episode reads a block of _BLOCK raw words of its
+    stream: random() is a word's top 53 bits, and a 32-bit draw takes a
+    word's low half and keeps its high half.  A miss in the table is
+    filled by the scalar code and a redirect is asked per episode; a full
+    table is emptied at the top of a loop step.  An
     episode whose start draw Lemire's method rejects is handed off at its
     start; one that needs a word past its block, or whose draw is
     rejected, is handed off at the start of its tick.
     """
-    g, mission, u = cfg.environment, cfg.mission, cfg.uncertainty
+    g, mission = levels[0].environment, levels[0].mission
     n, count = g.node_count, ends.shape[1]
     rng = _Draws(0)
-    table = _human_table(g, cfg.heat)
+    table = _human_table(g, levels[0].heat)
     words = np.empty(count * _BLOCK, np.uint64)
     for i, state in enumerate(states):
         rng.reseed(state)
@@ -144,11 +147,13 @@ def _march(cfg, states, ends):
         return tails
 
     live = ~fresh
+    u = np.array([cfg.uncertainty for cfg in levels])[level][live]
     robot, pos = robot[live].tolist(), pos[live].tolist()
     humans, plans, routes = {}, {}, []
-    for p in pos:
-        if p not in humans:
-            humans[p] = table.intern(g, _predicted(g, p, None, u))
+    starts = list(zip(pos, u.tolist()))
+    for p, pu in starts:
+        if (p, pu) not in humans:
+            humans[p, pu] = table.intern(g, _predicted(g, p, None, pu))
     for r in robot:
         if r not in plans:
             plans[r] = len(routes)
@@ -163,14 +168,14 @@ def _march(cfg, states, ends):
     zero = np.zeros(len(robot), np.intp)
     lanes = [lane[live], end[live], wp[live], half[live], has[live],
              np.array(robot), np.array([plans[r] for r in robot]) * width,
-             zero.copy(), np.array([humans[p] for p in pos]), zero.copy(),
-             zero.copy(), zero.astype(bool), zero.copy(), zero]
+             zero.copy(), np.array([humans[h] for h in starts]), zero.copy(),
+             zero.copy(), zero.astype(bool), zero.copy(), u, zero]
 
     def arrive(tick):
         # the top of _ticks for every lane: advance the route, then record
         # the lanes that won, ended or go scalar, and drop them
         (lane, end, wp, half, has, robot, rbase, idx, hid, redirects,
-         holds, tried, settled, code) = lanes
+         holds, tried, settled, u, code) = lanes
         at = robot == route[rbase + idx]
         while at.any():
             idx += at
@@ -205,34 +210,33 @@ def _march(cfg, states, ends):
             hid[:] = [ids[h] for h in hid.tolist()]
         tick += 1
         (lane, end, wp, half, has, robot, rbase, idx, hid, redirects,
-         holds, tried, settled, code) = lanes
+         holds, tried, settled, u, code) = lanes
         at = rbase + idx
         target, aim = route[at], way[at]
 
-        # the human: table.step
+        # the human: table.step, where random() is never below u = 0
         nh = _at(table.follow_ids, hid)
-        if u > 0.0:
-            saved = wp.copy(), half.copy(), has.copy()
-            div = _unit(words[wp]) < u
-            wp += 1
-            deg = _at(table.deg, hid)
-            k = np.zeros(len(hid), np.intp)
-            sel = np.flatnonzero(div & (deg > 1))
-            k[sel], rejected = _bounded(words, wp, half, has, sel,
-                                        deg[sel].astype(np.uint64))
-            if rejected.any():
-                # start the tick again without the rejected lanes
-                wp[:], half[:], has[:] = saved
-                code[sel[rejected]] = _HANDED_OFF
-                tick -= 1
-                arrive(tick)
-                continue
-            nh = np.where(div, np.where(deg > 0, _at(
-                table.divs, _at(table.first, hid) + k), hid), nh)
+        saved = wp.copy(), half.copy(), has.copy()
+        draws = u > 0.0
+        div = _unit(words[wp]) < u
+        wp += draws
+        deg = _at(table.deg, hid)
+        k = np.zeros(len(hid), np.intp)
+        sel = np.flatnonzero(div & (deg > 1))
+        k[sel], rejected = _bounded(words, wp, half, has, sel,
+                                    deg[sel].astype(np.uint64))
+        if rejected.any():
+            # start the tick again without the rejected lanes
+            wp[:], half[:], has[:] = saved
+            code[sel[rejected]] = _HANDED_OFF
+            tick -= 1
+            arrive(tick)
+            continue
+        nh = np.where(div, np.where(deg > 0, _at(
+            table.divs, _at(table.first, hid) + k), hid), nh)
         miss = np.flatnonzero(nh < 0)
         if miss.size:
-            ks = (np.where(div[miss], k[miss], -1) if u > 0.0
-                  else np.full(miss.size, -1))
+            ks = np.where(div[miss], k[miss], -1)
             nh[miss] = [table.follow(g, h) if j < 0 else table.diverge(g, h, j)
                         for h, j in zip(hid[miss].tolist(), ks.tolist())]
         hid[:] = nh
@@ -259,18 +263,12 @@ def _march(cfg, states, ends):
         holds += hold
         ask = np.flatnonzero(hold & (holds >= REDIRECT_PATIENCE) & ~tried
                              & ((goal < 0) | (settled >= 2)))
-        for i, h, r, x, j in zip(*(a.tolist() for a in (
-                ask, hid[ask], robot[ask], nxt[ask], sn[ask]))):
-            human = table.states[h]
-            if r in human.predicted_path or x in human.predicted_path:
-                leg = _redirect_target(g, mission, human.position,
-                                       index.nodes[j])
-                if leg is not None:
-                    hid[i] = table.intern(g, HumanState(
-                        human.position, leg.nodes[-1], human.uncertainty,
-                        leg.nodes))
-                    redirects[i] += 1
-                tried[i] = True
+        for i, h, j in zip(*(a.tolist() for a in (ask, hid[ask], sn[ask]))):
+            asked = _ask(g, mission, table, index, h, j)
+            if asked >= 0:
+                hid[i] = asked
+                redirects[i] += 1
+            tried[i] = asked != _NOT_ASKED
         code[hold & (holds >= mission.hold_limit)] = _TIMED_OUT
 
         # or try the edge: moving clears the holds, failing ends

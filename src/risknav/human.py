@@ -13,8 +13,9 @@ A graph's memo holds one table of human states per set of heat parameters:
 each state reached gets an int id, and stdlib-array columns indexed by id
 keep its successors' ids and its heat map's, filled when first needed.
 The table also numbers the robot's steps per heat map, robot and
-waypoint.  Both episode engines read these columns, and one rule, full,
-says when the table is emptied, which happens only between ticks.
+waypoint, and keeps what asking a human to move at a step gave.  Both
+episode engines read these columns, and one rule, full, says when the
+table is emptied, which happens only between ticks.
 step_human is an intern into that table plus one step of it; an episode
 carries the id from tick to tick.
 """
@@ -29,9 +30,8 @@ from .env import (HeatedGraph, OutcomeProbs, _full, _is_number, _remember,
 from .planner import _best, _heat_proof, _search
 
 # A human table's steps keep one cell per heat, robot node and waypoint;
-# past this many cells the table is emptied between ticks, and a sweep
-# batch that could pass it in one loop step, one new heat per episode,
-# runs on the scalar loop.
+# past this many cells the table is emptied between ticks, and a loop
+# step of a sweep job may not pass it, at one new heat per episode.
 _CELLS = 1 << 22
 
 
@@ -215,11 +215,11 @@ class _HumanTable:
     States with equal heat maps share one _Heat, and a divergence
     successor is predicted once per (new position, goal, uncertainty),
     whichever state diverged there.  steps holds the robot's steps under
-    each heat (a _Steps).
+    each heat and the answers to redirect requests (a _Steps).
 
     The table grows within a tick and is emptied only between ticks, by
-    whoever holds ids: once full, reintern drops every state, heat and
-    step, since states hold ids and steps are kept per heat id, and gives
+    whoever holds ids: once full, reintern drops every state, heat,
+    step and answer, since states, steps and answers hold ids, and gives
     the held states new ids.  The graph's memo holds the table, and the
     table never refers to the graph: each call that reads it takes g.
     """
@@ -250,12 +250,13 @@ class _HumanTable:
 
     def full(self):
         """Whether the table is to be emptied before a tick, which adds at
-        most two states, one heat and one step: so that it never holds
-        more than _STEP_MEMO_LIMIT + 1 states or steps, nor its heats more
-        than _CELLS cells and one heat's."""
+        most two states, one heat, one step and one redirect answer: so
+        that it never holds more than _STEP_MEMO_LIMIT + 1 states, steps
+        or answers, nor its heats more than _CELLS cells and one heat's."""
         steps = self.steps
         return _full(self.states, 2) or steps is not None and (
-            _full(steps.nodes) or len(self.heats) * steps.width > _CELLS)
+            _full(steps.nodes) or _full(steps.asks)
+            or len(self.heats) * steps.width > _CELLS)
 
     def intern(self, g, h):
         """The id of state h, given a new row if h is new."""
@@ -344,23 +345,27 @@ class _Steps:
     number, nodes holds the nodes of _plan_step's path, and the columns
     nxt, ps, psr and eff its next node, the heated p_success and
     p_success + p_retry of its first edge and that row's effective
-    success.
+    success.  asks keeps, per (human id, step number), what asking that
+    human to move at that step gave (sim._ask), which the mission's safe
+    locations, safe, fix.
     """
 
-    __slots__ = ("waypoints", "width", "cells", "nodes", "nxt", "ps", "psr",
-                 "eff")
+    __slots__ = ("waypoints", "safe", "width", "cells", "nodes", "nxt", "ps",
+                 "psr", "eff", "asks")
 
-    def __init__(self, n, waypoints):
-        self.waypoints = waypoints
+    def __init__(self, n, waypoints, safe):
+        self.waypoints, self.safe = waypoints, safe
         self.width = n * len(waypoints)
         self.cells, self.nodes, self.nxt = array("i"), [], array("q")
         self.ps, self.psr, self.eff = array("d"), array("d"), array("d")
+        self.asks = {}
 
     def clear(self):
-        """Forget every step and cell."""
+        """Forget every step, cell and redirect answer."""
         for column in (self.cells, self.nodes, self.nxt, self.ps, self.psr,
                        self.eff):
             del column[:]
+        self.asks.clear()
 
     def reserve(self, heats):
         """Give heat ids below heats their cells."""
@@ -384,13 +389,21 @@ class _Steps:
 
 
 def _steps(table, g, mission):
-    """table's _Steps toward mission's waypoints, made anew for another
-    mission."""
-    waypoints = mission.tasks + (mission.end,)
-    if table.steps is None or table.steps.waypoints != waypoints:
-        table.steps = _Steps(g.node_count, waypoints)
-        table.steps.reserve(len(table.heats))
-    return table.steps
+    """table's _Steps toward mission's waypoints, made anew for other
+    waypoints or safe locations."""
+    waypoints, safe = mission.tasks + (mission.end,), mission.safe_locations
+    store = table.steps
+    if store is None or (store.waypoints, store.safe) != (waypoints, safe):
+        store = table.steps = _Steps(g.node_count, waypoints, safe)
+        store.reserve(len(table.heats))
+    return store
+
+
+def _lanes(g, mission):
+    """How many episodes of mission on g one loop step of a sweep job may
+    advance: each may bring a new heat, of one step cell per node and
+    waypoint, and a loop step brings no more than _CELLS cells."""
+    return _CELLS // (g.node_count * (len(mission.tasks) + 1))
 
 
 def _plan_step(g, robot, target, heat):

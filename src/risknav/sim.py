@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown)
-from .human import HeatParams, HumanState, _human_table, _predicted, _steps
+from .human import (HeatParams, HumanState, _human_table, _lanes, _predicted,
+                    _steps)
 from .planner import _best, _to_path, check_reachable, order_tasks
 
 HOLD_TIMEOUT = "hold_timeout"
@@ -34,6 +35,9 @@ CATASTROPHIC = "catastrophic"
 
 # Consecutive hold ticks required before a redirect request is issued.
 REDIRECT_PATIENCE = 2
+# _ask's answer when the human is not in the robot's way, so no request is
+# made; -1 answers that every safe spot is on the robot's path.
+_NOT_ASKED = -2
 
 _TICK_GUARD = 100_000  # sanity bound; a legitimate episode never gets close
 
@@ -54,8 +58,8 @@ def derive_seed(base_seed, level_index, episode_index):
     """Per-episode seed stream: splitmix64 over (base, level, episode).
 
     Seeds are below 2**64; base seeds congruent mod 2**64 share a stream.
-    episode_index may also be a numpy uint64 array, which gives the array
-    of its episodes' seeds.
+    level_index and episode_index may also be numpy uint64 arrays, which
+    give the array of their episodes' seeds.
     """
     z = _splitmix64(base_seed & _MASK64)
     z = _splitmix64(z ^ ((level_index * 0x9E3779B97F4A7C15) & _MASK64))
@@ -208,6 +212,28 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                         default=None, key=lambda leg: (leg[1], leg[2][-1])))
 
 
+def _ask(g, mission, table, store, hid, s):
+    """What asking human hid of table to move, while the robot holds at
+    step s of store, gives: _NOT_ASKED when the human's prediction holds
+    neither end of the step's first edge, -1 when it does but no safe
+    spot is off the step's path, else the id of the human sent to the
+    nearest one.  The answer is kept in store.asks, since hid fixes the
+    human and s the robot's node and path."""
+    key = (hid, s)
+    asked = store.asks.get(key)
+    if asked is None:
+        human, nodes = table.states[hid], store.nodes[s]
+        if (nodes[0] in human.predicted_path
+                or nodes[1] in human.predicted_path):
+            leg = _redirect_target(g, mission, human.position, nodes)
+            asked = -1 if leg is None else table.intern(g, HumanState(
+                human.position, leg.nodes[-1], human.uncertainty, leg.nodes))
+        else:
+            asked = _NOT_ASKED
+        store.asks[key] = asked
+    return asked
+
+
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
@@ -248,8 +274,7 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
     the lockstep engine of a sweep reproduces."""
     states, heat_ids = table.states, table.heat_ids
     store = _steps(table, g, mission)
-    nodes, nxts, ps, psr, effs = (store.nodes, store.nxt, store.ps,
-                                  store.psr, store.eff)
+    nxts, ps, psr, effs = store.nxt, store.ps, store.psr, store.eff
     ways = [store.waypoints.index(t) for t in route]
     while True:
         if table.full():
@@ -271,26 +296,21 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
             heat = table.heat(g, hid)
 
         s = store.step(g, table.heats, heat, robot, route[idx], ways[idx])
-        nxt = nxts[s]
 
         if effs[s] < mission.threshold:
             holds += 1
             # A hold tick is often a human passing through, so only a second
-            # consecutive one earns a request, once until the robot moves; a
-            # human already sent to a safe spot is asked again only after it
-            # has stood there for two consecutive ticks.
+            # consecutive one earns a request, once until the robot moves,
+            # and only of a human in the robot's way; a human already sent
+            # to a safe spot is asked again only after it has stood there
+            # for two consecutive ticks.
             if (holds >= REDIRECT_PATIENCE and not redirect_tried
-                    and (human.goal is None or settled >= 2)
-                    and (robot in human.predicted_path
-                         or nxt in human.predicted_path)):
-                leg = _redirect_target(g, mission, human.position,
-                                       nodes[s])
-                if leg is not None:
-                    hid = table.intern(g, HumanState(
-                        human.position, leg.nodes[-1], human.uncertainty,
-                        leg.nodes))
+                    and (human.goal is None or settled >= 2)):
+                asked = _ask(g, mission, table, store, hid, s)
+                if asked >= 0:
+                    hid = asked
                     redirects += 1
-                redirect_tried = True
+                redirect_tried = asked != _NOT_ASKED
             if holds >= mission.hold_limit:
                 return EpisodeOutcome(False, HOLD_TIMEOUT, steps,
                                       redirects, robot)
@@ -302,14 +322,15 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
         if draw < ps[s]:
             holds = 0
             redirect_tried = False
-            robot = nxt
+            robot = nxts[s]
         elif draw >= psr[s]:
             return EpisodeOutcome(False, CATASTROPHIC, steps, redirects,
                                   robot)
 
 
-# A sweep job is a batch of up to this many episodes of one level.
-_BATCH = 1000
+# A sweep job steps at most this many episodes in lockstep: 2.1 MB of
+# word blocks.
+_BATCH = 2750
 
 
 @dataclass(frozen=True)
@@ -332,26 +353,30 @@ class SweepReport:
 _WORKER = {}
 
 
-def _sweep_worker_init(levels):
-    _WORKER["levels"] = levels
+def _sweep_worker_init(levels, episodes):
+    _WORKER["levels"], _WORKER["episodes"] = levels, episodes
 
 
 def _sweep_chunk(job):
-    return _run_chunk(_WORKER["levels"], *job)
+    return _run_chunk(_WORKER["levels"], _WORKER["episodes"], *job)
 
 
-def _run_chunk(levels, level_index, lo, hi):
+def _run_chunk(levels, episodes, lo, hi):
+    """Run the episodes lo to hi - 1 of a sweep, numbered level by level
+    (level index times episodes, plus episode index), as one lockstep
+    job; returns a Counter of (level index, failure cause, redirects)."""
     # numpy and the lockstep engine load with the first job
     import numpy as np
 
     from . import _lockstep
 
-    level = levels[level_index]
-    seeds = derive_seed(level.seed, level_index,
-                        np.arange(lo, hi, dtype=np.uint64))
-    return level_index, Counter(
-        (cause, redirects) for _, cause, _, redirects, _
-        in _lockstep.outcomes(level, seeds))
+    flat = np.arange(lo, hi, dtype=np.uint64)
+    level = flat // episodes
+    seeds = derive_seed(levels[0].seed, level, flat % episodes)
+    level = level.tolist()
+    return Counter(
+        (i, cause, redirects) for i, (_, cause, _, redirects, _)
+        in zip(level, _lockstep.outcomes(levels, level, seeds)))
 
 
 def _sweep_row(u, tally):
@@ -369,14 +394,18 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
     """Sweep uncertainty levels; returns one SweepRow per level.
 
     Level u runs as the EpisodeConfig replace(base, uncertainty=u), with seeds
-    fixed by (base.seed, level index, episode index) alone.  A job is a
-    batch of up to _BATCH episodes of a level, as few as a quarter of that
-    when more would leave a worker without a job, stepped in lockstep, and
-    returns a Counter of (failure cause, redirects).  Jobs are made as they
-    are run, with at most two per worker in flight, and a level's Counters
-    add up to one, from which its row is derived, so the report is
-    identical for any worker count.  Raises UnreachableNodeError before the
-    first episode when some possible start cannot reach a task or the end node.
+    fixed by (base.seed, level index, episode index) alone.  The sweep's
+    episodes are numbered level by level, and a job is a range of up to
+    _BATCH of them, whatever their levels, stepped in lockstep; no job has
+    more episodes than human._lanes allows, unless the map passes it at
+    one episode and runs on the scalar loop.  A sweep of one job runs in
+    process; a larger one gives every worker a job, with jobs of as few as
+    a quarter of the largest.  A job returns a Counter of (level index,
+    failure cause, redirects); jobs are made as they are run, with at most
+    two per worker in flight, and each level's counts add up to the
+    Counter from which its row is derived, so the report is identical for
+    any worker count.  Raises UnreachableNodeError before the first
+    episode when some possible start cannot reach a task or the end node.
     """
     if not isinstance(base, EpisodeConfig):
         raise ValueError(f"base {base!r} must be an EpisodeConfig")
@@ -389,25 +418,26 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         raise ValueError("workers must be an integer of at least 1")
     check_reachable(base.environment, base.mission)
 
+    total = len(levels) * episodes_per_level
+    limit = min(_BATCH, _lanes(base.environment, base.mission) or _BATCH)
     # a job holds no more episodes than it takes to give every worker one,
-    # but at least a quarter of _BATCH, below which lockstep gains little
-    size = min(_BATCH, max(_BATCH // 4,
-                           -(-len(levels) * episodes_per_level // workers)))
-    batches = range(0, episodes_per_level, size)
-    jobs = ((i, lo, min(lo + size, episodes_per_level))
-            for i in range(len(levels)) for lo in batches)
+    # but at least a quarter of the limit, below which lockstep gains
+    # little, and a sweep of one job runs in process
+    size = (limit if total <= limit
+            else min(limit, max(limit // 4, -(-total // workers))))
+    jobs = ((lo, min(lo + size, total)) for lo in range(0, total, size))
     tallies = [Counter() for _ in levels]
 
     def fold(part):
-        i, tally = part
-        tallies[i] += tally
+        for (i, cause, redirects), count in part.items():
+            tallies[i][cause, redirects] += count
 
     # a fork pool starts every worker at the first submit, so never ask
     # for more processes than there are jobs
-    workers = min(workers, len(levels) * len(batches))
+    workers = min(workers, -(-total // size))
     if workers == 1:
         for job in jobs:
-            fold(_run_chunk(levels, *job))
+            fold(_run_chunk(levels, episodes_per_level, *job))
     else:
         # the pool's modules load only when a sweep forks
         from concurrent.futures import ProcessPoolExecutor
@@ -415,7 +445,7 @@ def run_sweep(base, levels, episodes_per_level, workers=1):
         with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_sweep_worker_init,
-                initargs=(levels,)) as pool:
+                initargs=(levels, episodes_per_level)) as pool:
             pending = deque()
             for job in jobs:
                 if len(pending) == 2 * workers:

@@ -40,6 +40,11 @@ def scalar(cfg, seeds):
             for s in seeds.tolist()]
 
 
+def one_level(cfg, seeds):
+    """_lockstep.outcomes for seeds all at cfg."""
+    return _lockstep.outcomes((cfg,), [0] * len(seeds), seeds)
+
+
 def episode_seeds(base, level, n):
     return derive_seed(base, level, np.arange(n, dtype=np.uint64))
 
@@ -216,7 +221,7 @@ class TestParity:
                                (11, 7, 0.7)):
             cfg = EpisodeConfig(g, mission, HeatParams(), u, 0)
             seeds = episode_seeds(base, level, 200)
-            assert _lockstep.outcomes(cfg, seeds) == scalar(cfg, seeds)
+            assert one_level(cfg, seeds) == scalar(cfg, seeds)
         # the small blocks hand most episodes to the scalar loop mid-run;
         # otherwise only the longest episodes go
         assert (sum(tails) > 400) == (engine == "small blocks")
@@ -235,7 +240,7 @@ class TestParity:
         seen = Counter()
         for g, mission, heat, u in hand_built():
             cfg = EpisodeConfig(g, mission, heat, u, 0)
-            got = _lockstep.outcomes(cfg, seeds)
+            got = one_level(cfg, seeds)
             assert got == scalar(cfg, seeds)
             seen.update((cause, min(redirects, 2))
                         for _, cause, _, redirects, _ in got)
@@ -243,6 +248,42 @@ class TestParity:
         for cause in (None, "hold_timeout", "catastrophic"):
             assert seen[cause, 0] > 0
         assert seen[None, 1] > 0 and seen[None, 2] > 0
+
+    def test_a_job_spans_levels(self, engine, monkeypatch):
+        # lanes at u = 0, which draw nothing for their human, step beside
+        # lanes that diverge, each lane on its own level's config; on the
+        # bundled map and on a corridor that allows a second request
+        tails = []
+        real = _lockstep._march
+
+        def march(*args):
+            out = real(*args)
+            tails.extend(state is not None for _, state in out)
+            return out
+
+        monkeypatch.setattr(_lockstep, "_march", march)
+        g = load_default_environment()
+        maps = [(g, load_default_mission(g))]
+        maps.append(corridor([[0, 1, 1.0, "Medium"], [1, 2, 1.0, "Medium"],
+                              [2, 3, 1.0, "Low"]], 4, tasks=[1], end=2,
+                             safe_locations=[3, 2]))
+        us = (0.0, 0.3, 1.0)
+        pick = np.random.default_rng(5)
+        seen = Counter()
+        for g, mission in maps:
+            levels = tuple(EpisodeConfig(g, mission, HeatParams(), u, 0)
+                           for u in us)
+            level = pick.integers(len(us), size=240)
+            seeds = derive_seed(9, level.astype(np.uint64),
+                                np.arange(240, dtype=np.uint64))
+            got = _lockstep.outcomes(levels, level.tolist(), seeds)
+            assert got == [astuple(run_episode(replace(levels[i], seed=s)))
+                           for i, s in zip(level.tolist(), seeds.tolist())]
+            seen.update((us[i], min(o[3], 2))
+                        for i, o in zip(level.tolist(), got))
+        assert any(tails)
+        assert all(seen[u, 1] > 0 for u in us)
+        assert seen[0.0, 2] > 0 and seen[0.3, 2] > 0
 
     def test_a_sweep_is_its_episodes(self):
         # two batches of one level, a level of one batch, and a partial
@@ -268,7 +309,7 @@ class TestParity:
         for seed in range(200):
             seeds = episode_seeds(seed, 0, 3)
             g._memo.clear()
-            assert _lockstep.outcomes(cfg, seeds) == scalar(cfg, seeds)
+            assert one_level(cfg, seeds) == scalar(cfg, seeds)
 
     def test_a_map_past_the_cell_budget_runs_on_the_scalar_loop(
             self, monkeypatch):
@@ -278,7 +319,29 @@ class TestParity:
         g = load_default_environment()
         cfg = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.5, 0)
         seeds = episode_seeds(2, 5, 20)
-        assert _lockstep.outcomes(cfg, seeds) == scalar(cfg, seeds)
+        assert one_level(cfg, seeds) == scalar(cfg, seeds)
+
+    def test_a_map_past_the_cell_budget_steps_smaller_jobs(
+            self, monkeypatch):
+        # at 240 cells an episode, a budget of 700 episodes' cells would
+        # send jobs of 2,750 to the scalar loop; the sweep cuts its jobs to
+        # 700 instead, and they all step in lockstep
+        g = load_default_environment()
+        base = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0,
+                             3)
+        fresh = run_sweep(base, (0.0, 0.5), 900)
+        monkeypatch.setattr(human, "_CELLS", 240 * 700)
+        lanes = []
+        real = _lockstep._march
+
+        def march(levels, level, states, ends):
+            lanes.append(ends.shape[1])
+            return real(levels, level, states, ends)
+
+        monkeypatch.setattr(_lockstep, "_march", march)
+        g._memo.clear()
+        assert run_sweep(base, (0.0, 0.5), 900) == fresh
+        assert lanes == [700, 700, 400]
 
     def test_the_tick_guard_stops_a_batch(self, engine, monkeypatch):
         monkeypatch.setattr(sim, "_TICK_GUARD", 3)
@@ -286,7 +349,7 @@ class TestParity:
                                [1, 2, 1.0, "Medium"]], 3)
         cfg = EpisodeConfig(g, mission, HeatParams(), 0.0, 0)
         with pytest.raises(RuntimeError, match="tick guard"):
-            _lockstep.outcomes(cfg, np.arange(40, dtype=np.uint64))
+            one_level(cfg, np.arange(40, dtype=np.uint64))
 
 
 class TestSweepTables:
@@ -302,7 +365,7 @@ class TestSweepTables:
         cfg = EpisodeConfig(load_default_environment(),
                             load_default_mission(), HeatParams(), 0.5, 0)
         seeds = episode_seeds(4, 1, 150)
-        fresh_episodes = _lockstep.outcomes(cfg, seeds)
+        fresh_episodes = one_level(cfg, seeds)
 
         # another mission (same end node, other tasks) and other heat fill
         # the graph's memo first
@@ -334,7 +397,7 @@ class TestSweepTables:
         assert [len(getattr(table, c)) for c in table._COLUMNS[:-1]] \
             == [n] * 6
         assert len(table.divs) == sum(max(d, 1) for d in table.deg)
-        assert _lockstep.outcomes(replace(cfg, environment=g), seeds) \
+        assert one_level(replace(cfg, environment=g), seeds) \
             == fresh_episodes
 
     def test_a_diverged_state_is_predicted_once(self, monkeypatch):
@@ -391,14 +454,46 @@ class TestSweepTables:
         assert len(clears) > 3 and max(clears) == 11
         assert max(sizes) == 2_400 + 240
 
+    def test_a_redirect_is_asked_once_per_human_and_step(self,
+                                                         monkeypatch):
+        # both engines keep each answer in the step store, so only a new
+        # (human id, step number) looks for a leg; a mission with the same
+        # waypoints but other safe locations gets a store of its own
+        legs = []
+        real = sim._redirect_target
+
+        def counted(*args):
+            legs.append(args)
+            return real(*args)
+
+        def sweep(g, m):
+            base = EpisodeConfig(g, m, HeatParams(), 0.0, 7)
+            return run_sweep(base, (0.2, 0.9), 300)
+
+        g = load_default_environment()
+        mission = load_default_mission(g)
+        other = replace(mission, safe_locations=(13,))
+        fresh = [sweep(load_default_environment(), m)
+                 for m in (mission, other)]
+        assert fresh[0] != fresh[1]
+
+        monkeypatch.setattr(sim, "_redirect_target", counted)
+        assert sweep(g, mission) == fresh[0]
+        asks = g._memo["human"][HeatParams()].steps.asks
+        assert len(legs) == sum(a != sim._NOT_ASKED for a in asks.values())
+        assert sum(r.total_redirects for r in fresh[0].rows) > len(legs)
+        assert sweep(g, other) == fresh[1]
+        assert sweep(g, mission) == fresh[0]
+
     def test_every_worker_gets_a_job(self, monkeypatch):
-        # jobs of 1,000 episodes, or smaller ones, down to 250, when that
-        # gives a worker a job it would not have
+        # jobs of 2,750 episodes of any levels, or smaller ones, down to
+        # 687, when that gives a worker a job it would not have; a sweep
+        # of one job stays in process
         jobs = []
 
-        def record(levels, level_index, lo, hi):
-            jobs.append((level_index, lo, hi))
-            return level_index, Counter({(None, 0): hi - lo})
+        def record(levels, episodes, lo, hi):
+            jobs.append((lo, hi))
+            return Counter((i // episodes, None, 0) for i in range(lo, hi))
 
         class InProcess:
             def __init__(self, max_workers, initializer, initargs):
@@ -423,13 +518,15 @@ class TestSweepTables:
         base = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0,
                              1)
         for levels, episodes, workers, sizes in (
-                (1, 1000, 1, [1000]), (1, 1000, 2, [500, 500]),
-                (1, 1000, 3, [334, 334, 332]), (1, 300, 2, [250, 50]),
-                (1, 100, 2, [100]), (2, 600, 2, [600, 600]),
-                (11, 1000, 2, [1000] * 11), (3, 2000, 4, [1000] * 6)):
+                (1, 1000, 1, [1000]), (1, 1000, 2, [1000]),
+                (2, 1375, 3, [2750]), (1, 3000, 2, [1500, 1500]),
+                (1, 3000, 3, [1000] * 3), (1, 3000, 8, [687] * 4 + [252]),
+                (2, 1500, 2, [1500, 1500]), (11, 1000, 2, [2750] * 4),
+                (3, 4000, 4, [2750] * 4 + [1000])):
             del jobs[:]
             run_sweep(base, [0.5] * levels, episodes, workers)
-            assert [hi - lo for _, lo, hi in jobs] == sizes
+            assert [hi - lo for lo, hi in jobs] == sizes
+            assert jobs[-1][1] == levels * episodes
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_memory_does_not_grow_with_its_episodes(
@@ -439,11 +536,11 @@ class TestSweepTables:
 
         runs = []
 
-        def first_batches(levels, level_index, lo, hi):
+        def first_batches(levels, episodes, lo, hi):
             runs.append(hi - lo)
             if len(runs) == 3:
                 raise Stop
-            return level_index, Counter({(None, 0): hi - lo})
+            return Counter({(lo // episodes, None, 0): hi - lo})
 
         class InProcess:
             # runs each job when it is submitted
@@ -469,7 +566,7 @@ class TestSweepTables:
         base = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0,
                              1)
         peaks = []
-        for episodes in (10 ** 3, 10 ** 9, 10 ** 3, 10 ** 9):
+        for episodes in (10 ** 4, 10 ** 9, 10 ** 4, 10 ** 9):
             del runs[:]
             tracemalloc.start()
             try:
@@ -478,7 +575,7 @@ class TestSweepTables:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert runs == [min(episodes, sim._BATCH)] * 3
+            assert runs == [sim._BATCH] * 3
         # the second pair runs warm; a job list would take gigabytes
         assert peaks[3] < peaks[2] + 20_000
 

@@ -76,6 +76,17 @@ class TestDeriveSeed:
                 assert 0 <= seed < 2 ** 64
                 assert seed == derive_seed(base % 2 ** 64, lvl, ep)
 
+    def test_an_array_of_levels_gives_each_level_alone(self):
+        # a sweep job numbers its episodes level by level, across levels
+        flat = np.arange(5, 47, dtype=np.uint64)
+        for base in (7, 2 ** 64 - 1, 2 ** 200 + 9):
+            got = derive_seed(base, flat // 10, flat % 10).tolist()
+            alone = [derive_seed(base, i, np.arange(10, dtype=np.uint64))
+                     for i in range(5)]
+            assert got == np.concatenate(alone)[5:47].tolist()
+            assert got == [derive_seed(base, i // 10, i % 10)
+                           for i in range(5, 47)]
+
 
 class TestDraws:
     """sim._Draws against np.random.Generator on one PCG64 stream."""
@@ -703,14 +714,16 @@ class TestRunSweep:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             RecordingPool)
         monkeypatch.setattr(sim, "_WORKER", {})
+        monkeypatch.setattr(sim, "_BATCH", 40)
         base = EpisodeConfig(default_env, default_mission, HeatParams(),
                              0.0, 5)
-        # one level of 50 episodes is one job: the sweep stays in process
-        run_sweep(base, [0.0], 50, workers=2)
+        # 40 episodes are one job: the sweep stays in process
+        run_sweep(base, [0.0], 40, workers=2)
         assert pools == []
-        # two levels are two jobs, so a third process would sit idle
-        run_sweep(base, [0.0, 0.6], 50, workers=3)
-        assert pools == [2]
+        # two levels of 50 are ten jobs of a quarter of 40, so six more
+        # processes would sit idle
+        run_sweep(base, [0.0, 0.6], 50, workers=16)
+        assert pools == [10]
 
     def test_the_process_pool_loads_only_when_a_sweep_forks(self):
         # importing the package and loading the bundled map and mission

@@ -33,7 +33,8 @@ ENV = "src/risknav/env.py"
 LOCKSTEP = "src/risknav/_lockstep.py"
 
 # (name, file, old text, new text); each changes one line of the scalar
-# tick or of its lockstep twin, of the human table's layout or emptying,
+# tick or of its lockstep twin, of the redirect memo both engines read, of
+# the human table's layout or emptying,
 # of the seeding of a sweep batch, of the task-order scorer or its gather
 # table, of the overlay's effective-success list or of the heated-row
 # memo, or of the graph's hop rows
@@ -75,6 +76,12 @@ MUTANTS = (
     ("lockstep retry clears holds", LOCKSTEP,
      "        wp += move\n",
      "        wp += move; holds[move] = 0\n"),
+    ("a u = 0 lane draws for its human", LOCKSTEP,
+     "        wp += draws\n",
+     "        wp += 1\n"),
+    ("the redirect memo ignores the step", SIM,
+     "    key = (hid, s)\n",
+     "    key = (hid, 0)\n"),
     ("redirect tie-break reversed", SIM,
      "key=lambda leg: (leg[1], leg[2][-1])))",
      "key=lambda leg: (leg[1], -leg[2][-1])))"),
