@@ -4,9 +4,9 @@ levels, stepped together with exactly the draws of the scalar loop.
 This is event-based Monte Carlo (Brown and Martin, Progress in Nuclear
 Energy, 1984): one loop step advances every live episode of the job by
 one tick, each at its own level's uncertainty, as numpy gathers from the
-stdlib-array columns of the human table and of its numbered steps, the
-same columns that the scalar loop reads, through views that live for one
-gather.  Each episode still reads
+stdlib-array columns of the mission's human table, of its states and of
+its numbered steps, the same columns that the scalar loop reads, through
+views that live for one gather.  Each episode still reads
 its own PCG64 stream (O'Neill, 2014), a block of raw words at a time, so
 outcomes are those of sim._ticks, which stays the reference engine and
 finishes what this one hands off.  The table is emptied by its own rule,
@@ -20,7 +20,7 @@ from dataclasses import astuple
 import numpy as np
 
 from . import human, sim
-from .human import _human_table, _predicted, _steps
+from .human import _human_table, _predicted
 from .planner import order_tasks
 from .sim import (_MASK32, _NOT_ASKED, CATASTROPHIC, HOLD_TIMEOUT,
                   REDIRECT_PATIENCE, _ask, _Draws, _episode, _pcg64_states,
@@ -81,7 +81,7 @@ def outcomes(levels, level, seeds):
     outs = [(why == _WON, _CAUSES.get(why), steps, redirects, node)
             for why, steps, redirects, node in zip(*ends.tolist())]
     rng = _Draws(0)
-    table = _human_table(g, levels[0].heat)
+    table = _human_table(g, levels[0].heat, mission)
     for (i, state), start in zip(tails, _pcg64_states(
             seeds[[i for i, _ in tails]])):
         rng.reseed(start)
@@ -105,8 +105,8 @@ def _march(levels, level, states, ends):
     their start or as (index, state at the start of a tick).
 
     One loop step advances every live episode by one tick, as numpy
-    gathers from the columns of the human table and its _Steps, with the
-    draws _Draws would make; an episode at uncertainty 0 draws nothing
+    gathers from the human table's columns, of states and of steps, with
+    the draws _Draws would make; an episode at uncertainty 0 draws nothing
     for its human.  An episode reads a block of _BLOCK raw words of its
     stream: random() is a word's top 53 bits, and a 32-bit draw takes a
     word's low half and keeps its high half.  A miss in the table is
@@ -119,7 +119,7 @@ def _march(levels, level, states, ends):
     g, mission = levels[0].environment, levels[0].mission
     n, count = g.node_count, ends.shape[1]
     rng = _Draws(0)
-    table = _human_table(g, levels[0].heat)
+    table = _human_table(g, levels[0].heat, mission)
     words = np.empty(count * _BLOCK, np.uint64)
     for i, state in enumerate(states):
         rng.reseed(state)
@@ -160,8 +160,7 @@ def _march(levels, level, states, ends):
             routes.append(order_tasks(g, mission, r).ordered_tasks)
     width = len(routes[0]) + 1
     route = np.array([list(r) + [-1] for r in routes]).ravel()
-    index = _steps(table, g, mission)
-    way = np.array([index.waypoints.index(t) if t >= 0 else -1
+    way = np.array([table.waypoints.index(t) if t >= 0 else -1
                     for t in route.tolist()])
     # one array per field of the state, one entry per live lane, in the
     # order that arrive and the loop unpack them
@@ -211,8 +210,7 @@ def _march(levels, level, states, ends):
         tick += 1
         (lane, end, wp, half, has, robot, rbase, idx, hid, redirects,
          holds, tried, settled, u, code) = lanes
-        at = rbase + idx
-        target, aim = route[at], way[at]
+        aim = way[rbase + idx]
 
         # the human: table.step, where random() is never below u = 0
         nh = _at(table.follow_ids, hid)
@@ -248,15 +246,14 @@ def _march(levels, level, states, ends):
             heat[miss] = [table.heat(g, h) for h in hid[miss].tolist()]
 
         # the step toward the objective
-        sn = _at(index.cells, heat * index.width + robot * len(index.waypoints)
-                 + aim)
+        sn = _at(table.cells, heat * table.width
+                 + robot * len(table.waypoints) + aim)
         miss = np.flatnonzero(sn < 0)
         if miss.size:
-            sn[miss] = [index.step(g, table.heats, *cell) for cell in zip(*(
-                a.tolist() for a in (heat[miss], robot[miss], target[miss],
-                                     aim[miss])))]
-        nxt, ps, psr, eff = (_at(a, sn) for a in (index.nxt, index.ps,
-                                                  index.psr, index.eff))
+            sn[miss] = [table.plan(g, *cell) for cell in zip(*(
+                a.tolist() for a in (heat[miss], robot[miss], aim[miss])))]
+        nxt, ps, psr, eff = (_at(a, sn) for a in (table.nxt, table.ps,
+                                                  table.psr, table.eff))
 
         # hold, and perhaps ask the human to move
         hold = eff < mission.threshold
@@ -264,7 +261,7 @@ def _march(levels, level, states, ends):
         ask = np.flatnonzero(hold & (holds >= REDIRECT_PATIENCE) & ~tried
                              & ((goal < 0) | (settled >= 2)))
         for i, h, j in zip(*(a.tolist() for a in (ask, hid[ask], sn[ask]))):
-            asked = _ask(g, mission, table, index, h, j)
+            asked = _ask(g, mission, table, h, j)
             if asked >= 0:
                 hid[i] = asked
                 redirects[i] += 1

@@ -9,13 +9,14 @@ successor of a state, and its divergence successor toward each neighbour.
 Predicted presence is projected onto the graph as edge "heat"; heat scales
 success mass down (blocked attempts become retries, never catastrophes).
 
-A graph's memo holds one table of human states per set of heat parameters:
-each state reached gets an int id, and stdlib-array columns indexed by id
-keep its successors' ids and its heat map's, filled when first needed.
-The table also numbers the robot's steps per heat map, robot and
-waypoint, and keeps what asking a human to move at a step gave.  Both
-episode engines read these columns, and one rule, full, says when the
-table is emptied, which happens only between ticks.
+A graph's memo holds one table of human states per set of heat parameters,
+for one mission's waypoints and safe locations; a table for another
+mission replaces it.  Each state reached gets an int id, and stdlib-array
+columns indexed by id keep its successors' ids and its heat map's, filled
+when first needed.  The table also numbers the robot's steps per heat map,
+robot and waypoint, and keeps what asking a human to move at a step gave.
+Both episode engines read these columns, and one rule, full, says when
+the table is emptied, which happens only between ticks.
 step_human is an intern into that table plus one step of it; an episode
 carries the id from tick to tick.
 """
@@ -202,7 +203,8 @@ class _Heat:
 
 
 class _HumanTable:
-    """Every human state reached on one graph, each under an int id.
+    """Every human state reached on one graph, each under an int id, and
+    the robot's steps toward one mission's waypoints under their heats.
 
     states holds the states by id and ids their ids; the columns are
     stdlib arrays indexed by id, which the scalar tick reads as ints and
@@ -214,8 +216,17 @@ class _HumanTable:
     Successors and heats are filled when first needed, -1 until then.
     States with equal heat maps share one _Heat, and a divergence
     successor is predicted once per (new position, goal, uncertainty),
-    whichever state diverged there.  steps holds the robot's steps under
-    each heat and the answers to redirect requests (a _Steps).
+    whichever state diverged there.
+
+    The robot's steps, which both engines read, are numbered: cells
+    holds one row per heat id, of width cells, one per (robot, index of
+    the target in waypoints), holding a step's number, -1 until filled.
+    By number, nodes holds the nodes of _plan_step's path, and the
+    columns nxt, ps, psr and eff its next node, the heated p_success and
+    p_success + p_retry of its first edge and that row's effective
+    success.  asks keeps, per (human id, step number), what asking that
+    human to move at that step gave (sim._ask), which the mission's safe
+    locations, safe, fix.
 
     The table grows within a tick and is emptied only between ticks, by
     whoever holds ids: once full, reintern drops every state, heat,
@@ -226,37 +237,42 @@ class _HumanTable:
 
     _COLUMNS = ("pos", "goal", "deg", "follow_ids", "heat_ids", "first",
                 "divs")
-    __slots__ = ("params", "ids", "states", "heats", "heat_keys",
-                 "diverged", "steps") + _COLUMNS
+    _STEPS = ("cells", "nodes", "nxt", "ps", "psr", "eff")
+    __slots__ = ("params", "waypoints", "safe", "width", "ids", "states",
+                 "heats", "heat_keys", "diverged", "asks") + _COLUMNS + _STEPS
 
-    def __init__(self, params):
-        self.params = params
+    def __init__(self, params, n, waypoints, safe):
+        self.params, self.waypoints, self.safe = params, waypoints, safe
+        self.width = n * len(waypoints)
         self.ids, self.states, self.heats = {}, [], []
-        self.heat_keys, self.diverged = {}, {}
+        self.heat_keys, self.diverged, self.asks = {}, {}, {}
         for name in self._COLUMNS:
             setattr(self, name, array("q"))
-        self.steps = None
+        self.cells, self.nodes, self.nxt = array("i"), [], array("q")
+        self.ps, self.psr, self.eff = array("d"), array("d"), array("d")
 
     def clear(self):
-        """Drop every state, id, heat and step, keeping the containers
-        that callers hold."""
+        """Drop every state, id, heat, step and answer, keeping the
+        containers that callers hold."""
         for table in (self.ids, self.states, self.heats, self.heat_keys,
-                      self.diverged):
+                      self.diverged, self.asks):
             table.clear()
-        for name in self._COLUMNS:
+        for name in self._COLUMNS + self._STEPS:
             del getattr(self, name)[:]
-        if self.steps is not None:
-            self.steps.clear()
 
     def full(self):
-        """Whether the table is to be emptied before a tick, which adds at
-        most two states, one heat, one step and one redirect answer: so
-        that it never holds more than _STEP_MEMO_LIMIT + 1 states, steps
-        or answers, nor its heats more than _CELLS cells and one heat's."""
-        steps = self.steps
-        return _full(self.states, 2) or steps is not None and (
-            _full(steps.nodes) or _full(steps.asks)
-            or len(self.heats) * steps.width > _CELLS)
+        """Whether the table is to be emptied before a tick: once it holds
+        L states, L being env._STEP_MEMO_LIMIT, or more than L steps or
+        answers or _CELLS cells.  A tick of k episodes (1 on the scalar
+        loop, the live lanes of a lockstep loop step) adds at most 2k
+        states, k steps, k answers and k * width cells to the at most
+        max(L - 1, k) states the check leaves (reintern keeps up to k), so
+        the table never holds more than max(L - 1, k) + 2k states (L + 1
+        on the scalar loop), L + k steps or answers or _CELLS + k * width
+        cells, besides each episode's human, interned before its first
+        check."""
+        return (_full(self.states, 2) or _full(self.nodes)
+                or _full(self.asks) or len(self.cells) > _CELLS)
 
     def intern(self, g, h):
         """The id of state h, given a new row if h is new."""
@@ -323,62 +339,25 @@ class _HumanTable:
 
     def heat(self, g, hid):
         """The id in heats of state hid's heat map under params, filled
-        when needed; a new heat gets its cells in steps."""
+        when needed; a new heat gets its row of cells."""
         heat = self.heat_ids[hid]
         if heat < 0:
             hot = _Heat(build_heat_map(g, self.states[hid], self.params))
             heat = self.heat_keys.setdefault(hot.items, len(self.heats))
             if heat == len(self.heats):
                 self.heats.append(hot)
-                if self.steps is not None:
-                    self.steps.reserve(len(self.heats))
+                self.cells.extend(array("i", [-1]) * self.width)
             self.heat_ids[hid] = heat
         return heat
 
-
-class _Steps:
-    """A human table's steps toward one mission's waypoints, by number:
-    the step store of both engines.
-
-    cells holds one row per heat id, of one cell per (robot, index of the
-    target in waypoints) holding that step's number, -1 until filled.  By
-    number, nodes holds the nodes of _plan_step's path, and the columns
-    nxt, ps, psr and eff its next node, the heated p_success and
-    p_success + p_retry of its first edge and that row's effective
-    success.  asks keeps, per (human id, step number), what asking that
-    human to move at that step gave (sim._ask), which the mission's safe
-    locations, safe, fix.
-    """
-
-    __slots__ = ("waypoints", "safe", "width", "cells", "nodes", "nxt", "ps",
-                 "psr", "eff", "asks")
-
-    def __init__(self, n, waypoints, safe):
-        self.waypoints, self.safe = waypoints, safe
-        self.width = n * len(waypoints)
-        self.cells, self.nodes, self.nxt = array("i"), [], array("q")
-        self.ps, self.psr, self.eff = array("d"), array("d"), array("d")
-        self.asks = {}
-
-    def clear(self):
-        """Forget every step, cell and redirect answer."""
-        for column in (self.cells, self.nodes, self.nxt, self.ps, self.psr,
-                       self.eff):
-            del column[:]
-        self.asks.clear()
-
-    def reserve(self, heats):
-        """Give heat ids below heats their cells."""
-        self.cells.extend(array("i", [-1]) * (heats * self.width
-                                              - len(self.cells)))
-
-    def step(self, g, heats, heat, robot, target, way):
-        """The number of the step from robot toward target, the way-th
-        waypoint, under heats[heat], planned and numbered when new."""
+    def plan(self, g, heat, robot, way):
+        """The number of the step from robot toward the way-th waypoint
+        under heats[heat], planned and numbered when new."""
         cell = heat * self.width + robot * len(self.waypoints) + way
         number = self.cells[cell]
         if number < 0:
-            nodes, row, eff = _plan_step(g, robot, target, heats[heat])
+            nodes, row, eff = _plan_step(g, robot, self.waypoints[way],
+                                         self.heats[heat])
             number = self.cells[cell] = len(self.nodes)
             self.nodes.append(nodes)
             self.nxt.append(nodes[1])
@@ -386,17 +365,6 @@ class _Steps:
             self.psr.append(row.p_success + row.p_retry)
             self.eff.append(eff)
         return number
-
-
-def _steps(table, g, mission):
-    """table's _Steps toward mission's waypoints, made anew for other
-    waypoints or safe locations."""
-    waypoints, safe = mission.tasks + (mission.end,), mission.safe_locations
-    store = table.steps
-    if store is None or (store.waypoints, store.safe) != (waypoints, safe):
-        store = table.steps = _Steps(g.node_count, waypoints, safe)
-        store.reserve(len(table.heats))
-    return store
 
 
 def _lanes(g, mission):
@@ -424,13 +392,19 @@ def _plan_step(g, robot, target, heat):
     return nodes, row, effs[g._index[key]]
 
 
-def _human_table(g, params):
-    """g's table of human states whose heat is taken under params; on a
-    heat overlay, whose memo keeps nothing, a new table on each call."""
+def _human_table(g, params, mission=None):
+    """g's table of human states whose heat is taken under params, with
+    the steps toward mission's waypoints (none without a mission); a
+    table for other waypoints or safe locations is replaced by a new one.
+    On a heat overlay, whose memo keeps nothing, a new table on each
+    call."""
     tables = g.memo("human")
     table = tables.get(params)
-    if table is None:
-        table = _remember(tables, params, _HumanTable(params))
+    key = ((), ()) if mission is None else (mission.tasks + (mission.end,),
+                                            mission.safe_locations)
+    if table is None or (table.waypoints, table.safe) != key:
+        table = _remember(tables, params,
+                          _HumanTable(params, g.node_count, *key))
     return table
 
 

@@ -12,9 +12,9 @@ independent of worker count and batching.  run_episode runs the scalar
 tick loop, _ticks; _lockstep steps a sweep job's episodes together, one
 numpy step per tick for every live episode, with exactly the draws of
 the scalar loop, so both engines give the same CSV byte for byte.  Both
-read the human table of human.py, whose columns hold the human's
-successors, heats and the robot's steps, and both empty it only at the
-top of a tick, when it is full, keeping the ids they hold.
+read the human table of human.py for the heat and mission, whose columns
+hold the human's successors, heats and the robot's steps, and empty it
+only at the top of a tick, when it is full, keeping the ids they hold.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown)
-from .human import (HeatParams, HumanState, _human_table, _lanes, _predicted,
-                    _steps)
+from .human import HeatParams, HumanState, _human_table, _lanes, _predicted
 from .planner import _best, _to_path, check_reachable, order_tasks
 
 HOLD_TIMEOUT = "hold_timeout"
@@ -212,17 +211,17 @@ def _redirect_target(g, mission, human_pos, robot_path_nodes):
                         default=None, key=lambda leg: (leg[1], leg[2][-1])))
 
 
-def _ask(g, mission, table, store, hid, s):
+def _ask(g, mission, table, hid, s):
     """What asking human hid of table to move, while the robot holds at
-    step s of store, gives: _NOT_ASKED when the human's prediction holds
+    step s of table, gives: _NOT_ASKED when the human's prediction holds
     neither end of the step's first edge, -1 when it does but no safe
     spot is off the step's path, else the id of the human sent to the
-    nearest one.  The answer is kept in store.asks, since hid fixes the
-    human and s the robot's node and path."""
+    nearest one.  The answer is kept in table.asks, since hid fixes the
+    human, s the robot's node and path, and table.safe the safe spots."""
     key = (hid, s)
-    asked = store.asks.get(key)
+    asked = table.asks.get(key)
     if asked is None:
-        human, nodes = table.states[hid], store.nodes[s]
+        human, nodes = table.states[hid], table.nodes[s]
         if (nodes[0] in human.predicted_path
                 or nodes[1] in human.predicted_path):
             leg = _redirect_target(g, mission, human.position, nodes)
@@ -230,22 +229,23 @@ def _ask(g, mission, table, store, hid, s):
                 human.position, leg.nodes[-1], human.uncertainty, leg.nodes))
         else:
             asked = _NOT_ASKED
-        store.asks[key] = asked
+        table.asks[key] = asked
     return asked
 
 
 def run_episode(cfg):
     """Run one mission episode; deterministic for a given config.
 
-    The human is an id in g's table of human states for cfg.heat, whose
-    columns hold each state's successors and heat map, and the robot's
-    steps (human._plan_step's) per heat map, robot and objective; the
-    table is emptied at the top of a tick once full, and a heat overlay
+    The human is an id in g's table of human states for cfg.heat and
+    cfg.mission, whose columns hold each state's successors and heat map,
+    and the robot's steps (human._plan_step's) per heat map, robot and
+    objective; the table is emptied at the top of a tick once full, another
+    mission's waypoints or safe locations get a new one, and a heat overlay
     keeps it for one episode.  The robot moves only while the step's
     effective success is at least the mission threshold.  Only a redirect
     gives the human a goal, a safe spot.  Draws come from _Draws(cfg.seed),
-    which gives what np.random.default_rng(cfg.seed) would; the episode
-    and the human table call only its random() and integers(n).
+    which gives what np.random.default_rng(cfg.seed) would; the episode and
+    the human table call only its random() and integers(n).
     """
     return _episode(cfg, _Draws(cfg.seed))
 
@@ -259,7 +259,7 @@ def _episode(cfg, rng):
         robot = g.check_node(mission.start)
     else:
         robot = rng.integers(g.node_count)
-    table = _human_table(g, cfg.heat)
+    table = _human_table(g, cfg.heat, mission)
     hid = table.intern(g, _predicted(g, rng.integers(g.node_count), None,
                                      cfg.uncertainty))
     route = order_tasks(g, mission, robot).ordered_tasks
@@ -273,9 +273,8 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
     in table, and the counters.  This scalar loop is the reference that
     the lockstep engine of a sweep reproduces."""
     states, heat_ids = table.states, table.heat_ids
-    store = _steps(table, g, mission)
-    nxts, ps, psr, effs = store.nxt, store.ps, store.psr, store.eff
-    ways = [store.waypoints.index(t) for t in route]
+    nxts, ps, psr, effs = table.nxt, table.ps, table.psr, table.eff
+    ways = [table.waypoints.index(t) for t in route]
     while True:
         if table.full():
             hid = table.reintern(g, (hid,))[hid]
@@ -295,7 +294,7 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
         if heat < 0:
             heat = table.heat(g, hid)
 
-        s = store.step(g, table.heats, heat, robot, route[idx], ways[idx])
+        s = table.plan(g, heat, robot, ways[idx])
 
         if effs[s] < mission.threshold:
             holds += 1
@@ -306,7 +305,7 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
             # for two consecutive ticks.
             if (holds >= REDIRECT_PATIENCE and not redirect_tried
                     and (human.goal is None or settled >= 2)):
-                asked = _ask(g, mission, table, store, hid, s)
+                asked = _ask(g, mission, table, hid, s)
                 if asked >= 0:
                     hid = asked
                     redirects += 1

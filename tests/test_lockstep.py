@@ -400,6 +400,55 @@ class TestSweepTables:
         assert one_level(replace(cfg, environment=g), seeds) \
             == fresh_episodes
 
+    def test_a_loop_step_grows_the_table_by_its_lanes(self, monkeypatch):
+        # the table is checked at the top of every loop step, and a loop
+        # step of k lanes adds at most 2k states, k steps, k answers and k
+        # rows of cells to the at most max(L - 1, k) states the check
+        # leaves: each later check sees at most max(L - 1, k) + 2k states,
+        # L + k steps or answers and _CELLS + k * width cells, k being the
+        # lanes of the loop step before, which numpy gathers for (_at);
+        # with many lanes that is well past L + 1
+        levels, episodes = (0.3, 1.0), 500
+
+        def sweep(g):
+            base = EpisodeConfig(g, load_default_mission(g), HeatParams(),
+                                 0.0, 7)
+            return run_sweep(base, levels, episodes)
+
+        fresh = sweep(load_default_environment())
+        limit = 50
+        monkeypatch.setattr(env, "_STEP_MEMO_LIMIT", limit)
+        lanes, seen = [None], []
+        real_at, real_full = _lockstep._at, human._HumanTable.full
+        real_march = _lockstep._march
+
+        def at(column, index):
+            lanes[0] = len(index)
+            return real_at(column, index)
+
+        def march(*args):
+            lanes[0] = 0
+            try:
+                return real_march(*args)
+            finally:
+                lanes[0] = None
+
+        def full(table):
+            k = lanes[0]
+            if k:
+                seen.append(len(table.states))
+                assert len(table.states) <= max(limit - 1, k) + 2 * k
+                assert len(table.nodes) <= limit + k
+                assert len(table.asks) <= limit + k
+                assert len(table.cells) <= human._CELLS + k * table.width
+            return real_full(table)
+
+        monkeypatch.setattr(_lockstep, "_at", at)
+        monkeypatch.setattr(_lockstep, "_march", march)
+        monkeypatch.setattr(human._HumanTable, "full", full)
+        assert sweep(load_default_environment()) == fresh
+        assert len(seen) > 30 and max(seen) > 2 * limit
+
     def test_a_diverged_state_is_predicted_once(self, monkeypatch):
         # divergence successors are filled per (new position, goal,
         # uncertainty), so humans that diverge to the same node toward the
@@ -444,21 +493,21 @@ class TestSweepTables:
 
         def clear(table):
             clears.append(len(table.heats))
-            sizes.append(len(table.steps.cells))
+            sizes.append(len(table.cells))
             real(table)
 
         monkeypatch.setattr(human._HumanTable, "clear", clear)
         assert outcomes(g) == fresh
         table = g._memo["human"][HeatParams()]
-        sizes.append(len(table.steps.cells))
+        sizes.append(len(table.cells))
         assert len(clears) > 3 and max(clears) == 11
         assert max(sizes) == 2_400 + 240
 
     def test_a_redirect_is_asked_once_per_human_and_step(self,
                                                          monkeypatch):
-        # both engines keep each answer in the step store, so only a new
+        # both engines keep each answer in the human table, so only a new
         # (human id, step number) looks for a leg; a mission with the same
-        # waypoints but other safe locations gets a store of its own
+        # waypoints but other safe locations gets a table of its own
         legs = []
         real = sim._redirect_target
 
@@ -479,7 +528,7 @@ class TestSweepTables:
 
         monkeypatch.setattr(sim, "_redirect_target", counted)
         assert sweep(g, mission) == fresh[0]
-        asks = g._memo["human"][HeatParams()].steps.asks
+        asks = g._memo["human"][HeatParams()].asks
         assert len(legs) == sum(a != sim._NOT_ASKED for a in asks.values())
         assert sum(r.total_redirects for r in fresh[0].rows) > len(legs)
         assert sweep(g, other) == fresh[1]

@@ -369,7 +369,7 @@ class TestGraphMemo:
         run_sweep(EpisodeConfig(g, other, HeatParams(0.9, 0.3), 0.0, 4),
                   [0.0, 0.7], 20)
         assert g._memo["plan"]
-        assert g._memo["human"][HeatParams(0.9, 0.3)].steps.nodes
+        assert g._memo["human"][HeatParams(0.9, 0.3)].nodes
 
         # a low bound makes the steps and the human table empty themselves
         # inside episodes
@@ -395,7 +395,7 @@ class TestGraphMemo:
 
         def step(table, g, hid, rng, _real=human._HumanTable.step):
             assert len(table.states) <= limit + 1
-            assert len(table.steps.nodes) <= limit + 1
+            assert len(table.nodes) <= limit + 1
             events.append((len(used), "step"))
             return _real(table, g, hid, rng)
 
@@ -427,7 +427,7 @@ class TestGraphMemo:
         else:
             pytest.fail("no table emptied inside an episode")
         table = g._memo["human"][HeatParams()]
-        assert len(table.steps.nodes) <= limit + 1
+        assert len(table.nodes) <= limit + 1
         assert len(table.states) == len(table.ids) <= limit + 1
         assert used == fresh
 
@@ -438,7 +438,7 @@ class TestGraphMemo:
         clone = pickle.loads(pickle.dumps(g))
         for name in ("plan", "prob", "heated", "human"):
             assert g._memo[name]
-        assert g._memo["human"][HeatParams()].steps.nodes
+        assert g._memo["human"][HeatParams()].nodes
         assert clone._memo == {}
         assert clone == g
 
@@ -612,7 +612,7 @@ class TestGraphMemo:
             ref = weakref.ref(g)
             run_sweep(EpisodeConfig(g, load_default_mission(g), HeatParams(),
                                     0.0, 5), [0.0, 0.5], 20)
-            assert g._memo["human"][HeatParams()].steps.nodes
+            assert g._memo["human"][HeatParams()].nodes
             del g
             assert ref() is None
         finally:

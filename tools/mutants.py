@@ -34,7 +34,7 @@ LOCKSTEP = "src/risknav/_lockstep.py"
 
 # (name, file, old text, new text); each changes one line of the scalar
 # tick or of its lockstep twin, of the redirect memo both engines read, of
-# the human table's layout or emptying,
+# the human table's layout, emptying or replacement for another mission,
 # of the seeding of a sweep batch, of the task-order scorer or its gather
 # table, of the overlay's effective-success list or of the heated-row
 # memo, or of the graph's hop rows
@@ -120,6 +120,9 @@ MUTANTS = (
     ("a full table is never emptied at a tick", SIM,
      "            hid = table.reintern(g, (hid,))[hid]\n",
      "            pass\n"),
+    ("a table outlives its mission", HUMAN,
+     "if table is None or (table.waypoints, table.safe) != key:",
+     "if table is None or table.waypoints != key[0]:"),
 )
 
 
