@@ -28,6 +28,10 @@ DEFAULT_RISK_TABLE = {
 
 PROB_SUM_TOL = 1e-12
 MAX_TASKS = 10  # 11 tasks would take order_tasks about 1.4 s per start
+# a node takes 8 B of adjacency before any edge is read, so a document of
+# a few bytes asks for at most 1 GiB; a sweepable map is far smaller, as
+# each node a mission can reach costs an edge row and a search entry
+MAX_NODES = 1 << 27
 _STEP_MEMO_LIMIT = 200_000  # a per-tick memo table is cleared past this size
 
 
@@ -105,7 +109,8 @@ class EnvironmentGraph:
     traversal of the structure is deterministic.  The constructor checks
     every edge, an Edge or an [a, b, distance, class] row, naming its
     index, and stores it with a < b and a float distance; the node count
-    must be an int of at least 1, and every risk table row an OutcomeProbs.
+    must be an int from 1 to MAX_NODES, and every risk table row an
+    OutcomeProbs.
     """
 
     def __init__(self, node_count, risk_table, edges, labels=None, xy=None):
@@ -113,6 +118,9 @@ class EnvironmentGraph:
             raise ValueError(f"node count {node_count!r} must be an integer")
         if node_count < 1:
             raise ValueError(f"node count {node_count} below 1")
+        if node_count > MAX_NODES:
+            raise ValueError(f"node count {node_count} exceeds the limit of "
+                             f"{MAX_NODES}")
         self.node_count = node_count
         self.risk_table = dict(risk_table)
         for name, p in self.risk_table.items():
@@ -216,15 +224,16 @@ class EnvironmentGraph:
 class HeatedGraph:
     """Read-only overlay replacing outcome probabilities on selected edges.
 
-    Takes its topology from the base graph and stores, as given,
-    overrides (heated edge key -> row) and effs, the base's
-    effective-success list with each heated value written in; apply_heat
-    checks and computes both.  Planner and validator code accepts either
-    graph type.  An overlay shares no memo: its probabilities are not its
-    base's.
+    Takes its topology from the base graph and stores, as given, rows
+    (heated edge number -> row) and effs, the base's effective-success
+    list with each heated value written in; apply_heat checks and
+    computes both.  probs() reads an edge's heated row by its number, or
+    the base's row for an edge that is not heated or not in the graph.
+    Planner and validator code accepts either graph type.  An overlay
+    shares no memo: its probabilities are not its base's.
     """
 
-    def __init__(self, base, overrides, effs):
+    def __init__(self, base, rows, effs):
         self.base = base
         self.node_count = base.node_count
         self.nodes = base.nodes
@@ -235,7 +244,7 @@ class HeatedGraph:
         self._keys = base._keys
         self._index = base._index
         self._hops = base._hops
-        self.overrides = overrides
+        self.rows = rows
         self._effs = effs
 
     def memo(self, table):
@@ -243,7 +252,7 @@ class HeatedGraph:
         return {}
 
     def probs(self, edge):
-        hit = self.overrides.get(edge.key())
+        hit = self.rows.get(self._index.get(edge.key()))
         return hit if hit is not None else self.base.probs(edge)
 
     effective = EnvironmentGraph.effective

@@ -129,7 +129,7 @@ def apply_heat(g, heat_map):
     Each key must name an edge, either way round, and each heat be a
     number in [0, 1), on a memo hit too.  A heated row and its effective
     success are memoized per heat and edge number; the overlay gets the
-    rows and one patched copy of g's effective-success list.
+    rows by edge number and one patched copy of g's effective-success list.
     """
     index, keys = g._index, g._keys
     effs, rows, last = g._effs.copy(), {}, None
@@ -164,42 +164,24 @@ def apply_heat(g, heat_map):
             row = OutcomeProbs(scaled, p.p_retry + (p.p_success - scaled),
                                p.p_fail)
             hit = per[i] = (row, effective_success(row))
-        rows[keys[i]], effs[i] = hit
+        rows[i], effs[i] = hit
     return HeatedGraph(g, rows, effs)
 
 
+@dataclass(slots=True)
 class _Heat:
-    """One heat map of a human table.
-
-    items is the frozenset of its (edge key, heat) pairs, which keys it
-    in the table; map is the map itself.  Its heated rows by edge key
-    and its patched copy of the graph's effective-success list come from
-    apply_heat on the first call of effs and are kept, but never an
-    overlay, which would refer to the graph.
+    """One heat map of a human table, built whole when the table first
+    meets it: the map, its heated rows by edge number and patched copy of
+    the graph's effective-success list, as apply_heat gives them, and
+    lowers, whether no heated edge's effective success is higher in effs
+    than on the graph.  It never keeps an overlay, which would refer to
+    the graph.
     """
 
-    __slots__ = ("items", "map", "_rows", "_effs", "_lowers")
-
-    def __init__(self, heat_map):
-        self.items = frozenset(heat_map.items())
-        self.map = heat_map
-        self._rows = self._effs = self._lowers = None
-
-    def effs(self, g):
-        """The effective-success list of apply_heat(g, map), kept with its
-        rows and with lowers(g) on the first call."""
-        if self._effs is None:
-            hot, index = apply_heat(g, self.map), g._index
-            self._rows, self._effs = hot.overrides, hot._effs
-            self._lowers = all(hot._effs[index[key]] <= g._effs[index[key]]
-                               for key in self._rows)
-        return self._effs
-
-    def lowers(self, g):
-        """Whether no heated edge's effective success is higher in effs(g)
-        than on g."""
-        self.effs(g)
-        return self._lowers
+    map: dict
+    rows: dict
+    effs: list
+    lowers: bool
 
 
 class _HumanTable:
@@ -214,9 +196,10 @@ class _HumanTable:
     divergence successors start in divs, one slot per neighbour and at
     least one, so a gather at first of a degree-0 state stays in bounds.
     Successors and heats are filled when first needed, -1 until then.
-    States with equal heat maps share one _Heat, and a divergence
-    successor is predicted once per (new position, goal, uncertainty),
-    whichever state diverged there.
+    heats holds one _Heat per heat map, which heat_keys keys by the
+    frozenset of its (edge key, heat) pairs, so states with equal heat
+    maps share it; a divergence successor is predicted once per (new
+    position, goal, uncertainty), whichever state diverged there.
 
     The robot's steps, which both engines read, are numbered: cells
     holds one row per heat id, of width cells, one per (robot, index of
@@ -339,13 +322,17 @@ class _HumanTable:
 
     def heat(self, g, hid):
         """The id in heats of state hid's heat map under params, filled
-        when needed; a new heat gets its row of cells."""
+        when needed; a new heat is built whole and gets its row of
+        cells."""
         heat = self.heat_ids[hid]
         if heat < 0:
-            hot = _Heat(build_heat_map(g, self.states[hid], self.params))
-            heat = self.heat_keys.setdefault(hot.items, len(self.heats))
+            heat_map = build_heat_map(g, self.states[hid], self.params)
+            heat = self.heat_keys.setdefault(frozenset(heat_map.items()),
+                                             len(self.heats))
             if heat == len(self.heats):
-                self.heats.append(hot)
+                hot = apply_heat(g, heat_map)
+                self.heats.append(_Heat(heat_map, hot.rows, hot._effs, all(
+                    hot._effs[i] <= g._effs[i] for i in hot.rows)))
                 self.cells.extend(array("i", [-1]) * self.width)
             self.heat_ids[hid] = heat
         return heat
@@ -377,19 +364,19 @@ def _lanes(g, mission):
 def _plan_step(g, robot, target, heat):
     """The step toward target under a human table's _Heat: the nodes of
     the max-success path on the heated map, the heated outcome row of its
-    first edge and that row's effective success.  The path is g's when the
-    planner proves the heated search returns it and the heat raises no
-    effective success; else a search to target runs on the heat's list."""
-    entry = _heat_proof(g, robot, target, heat.map)
-    effs = heat.effs(g)
-    if entry is None or not heat.lowers(g):
-        entry = _search(g, effs, robot, target).get(target)
+    first edge and that row's effective success, read by its edge number.
+    The path is g's when the heat raises no effective success and the
+    planner proves the heated search returns it; else a search to target
+    runs on the heat's list."""
+    entry = _heat_proof(g, robot, target, heat.map) if heat.lowers else None
+    if entry is None:
+        entry = _search(g, heat.effs, robot, target).get(target)
         if entry is None:
             raise RuntimeError(f"objective {target} unreachable from {robot}")
     nodes = entry[2]
     key = (robot, nodes[1]) if robot < nodes[1] else (nodes[1], robot)
-    row = heat._rows.get(key) or g.probs(g.edges[key])
-    return nodes, row, effs[g._index[key]]
+    i = g._index[key]
+    return nodes, heat.rows.get(i) or g.probs(g.edges[key]), heat.effs[i]
 
 
 def _human_table(g, params, mission=None):

@@ -27,7 +27,7 @@ from .env import (EnvironmentGraph, HeatedGraph, MissionSpec,
                   _environment_or_default, _is_number, _mission_or_default,
                   _read_json, _reject_unknown)
 from .human import HeatParams, HumanState, _human_table, _lanes, _predicted
-from .planner import _best, _to_path, check_reachable, order_tasks
+from .planner import _best, check_reachable, order_tasks
 
 HOLD_TIMEOUT = "hold_timeout"
 CATASTROPHIC = "catastrophic"
@@ -202,13 +202,14 @@ class EpisodeOutcome:
 
 
 def _redirect_target(g, mission, human_pos, robot_path_nodes):
-    """The human's leg to the nearest safe location by distance that is
-    off the robot's path (ties to the smaller node id), or None.  Only the
-    winner's Path is built."""
+    """The nodes of the human's leg to the nearest safe location by
+    distance that is off the robot's path (ties to the smaller node id),
+    or None."""
     legs = [_best(g, human_pos, s, by_distance=True)
             for s in mission.safe_locations if s not in robot_path_nodes]
-    return _to_path(min((leg for leg in legs if leg is not None),
-                        default=None, key=lambda leg: (leg[1], leg[2][-1])))
+    leg = min((leg for leg in legs if leg is not None), default=None,
+              key=lambda leg: (leg[1], leg[2][-1]))
+    return None if leg is None else leg[2]
 
 
 def _ask(g, mission, table, hid, s):
@@ -226,7 +227,7 @@ def _ask(g, mission, table, hid, s):
                 or nodes[1] in human.predicted_path):
             leg = _redirect_target(g, mission, human.position, nodes)
             asked = -1 if leg is None else table.intern(g, HumanState(
-                human.position, leg.nodes[-1], human.uncertainty, leg.nodes))
+                human.position, leg[-1], human.uncertainty, leg))
         else:
             asked = _NOT_ASKED
         table.asks[key] = asked

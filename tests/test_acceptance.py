@@ -311,7 +311,7 @@ def test_7c_zero_heat_identity():
             continue
         nodes = cands[int(rng.integers(len(cands)))]
         hot = apply_heat(g, {key: 0.0 for key in g.edges})
-        assert hot.overrides == {}
+        assert hot.rows == {}
         for edge in g.edges.values():
             assert hot.probs(edge) is g.probs(edge)
         assert evaluate_chain(build_chain(hot, nodes)) \

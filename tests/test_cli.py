@@ -5,12 +5,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import risknav
 from risknav import cli, sim
 from risknav.cli import main
+from risknav.env import MAX_NODES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -293,14 +295,15 @@ class TestTaskLimit:
 
 class TestOversizedInput:
     def test_a_map_too_large_for_memory_is_one_error_line(self, tmp_path):
-        # a billion nodes with one edge is a well-formed 53-byte document;
-        # the child's address space is capped at 1 GB, so its graph cannot
-        # be built, and nothing outside the child is limited
+        # a map of MAX_NODES nodes with one edge is a well-formed document
+        # of a few bytes, whose adjacency alone takes 1 GiB; the child's
+        # address space is capped at 1 GB, so its graph cannot be built,
+        # and nothing outside the child is limited
         import resource
 
         target = tmp_path / "huge.json"
         target.write_text(json.dumps(
-            {"nodes": 10 ** 9, "edges": [[0, 1, 1.0, "Low"]]}))
+            {"nodes": MAX_NODES, "edges": [[0, 1, 1.0, "Low"]]}))
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -312,6 +315,19 @@ class TestOversizedInput:
             env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: out of memory\n")
+
+    def test_a_node_count_over_the_limit_is_refused_at_once(
+            self, tmp_path, capsys):
+        # refused before the adjacency is allocated, so in process and
+        # uncapped it takes no time, at one past the limit and far past it
+        for count in (MAX_NODES + 1, 10 ** 12):
+            target = write_env(tmp_path, {"nodes": count,
+                                          "edges": [[0, 1, 1.0, "Low"]]})
+            began = time.perf_counter()
+            result = run(capsys, "plan", "0", "1", "--env", target)
+            assert time.perf_counter() - began < 1.0
+            assert result == (1, "", f"error: node count {count} exceeds "
+                              f"the limit of {MAX_NODES}\n")
 
 
 # an integer too large for a float, where a float is expected

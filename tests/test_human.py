@@ -229,6 +229,22 @@ class TestApplyHeat:
         assert twice.probs(g.edge(1, 2)).p_success \
             == pytest.approx(0.99 * 0.25)
 
+    def test_probs_reads_the_base_row_off_the_heated_edges(self,
+                                                          default_env):
+        # an unheated edge, and an Edge whose key is no edge of the map
+        # (the bundled map has no (0, 29)), read the base's row, on a
+        # stacked overlay too
+        g = default_env
+        once = apply_heat(g, {(0, 1): 0.5})
+        twice = apply_heat(once, {(1, 3): 0.5})
+        unheated = next(e for key, e in g.edges.items()
+                        if key not in ((0, 1), (1, 3)))
+        for edge in (unheated, Edge(0, 29, 1.0, "High")):
+            for hot in (once, twice):
+                assert hot.probs(edge) is g.probs(edge)
+        assert once.probs(g.edge(0, 1)) != g.probs(g.edge(0, 1))
+        assert twice.probs(g.edge(0, 1)) is once.probs(g.edge(0, 1))
+
     def test_base_graph_untouched(self):
         g = environment_from_dict(line_doc())
         before = g.probs(g.edge(1, 2))
@@ -250,7 +266,7 @@ class TestApplyHeat:
     def test_zero_entries_skipped(self):
         g = environment_from_dict(line_doc())
         hot = apply_heat(g, {(1, 2): 0.0})
-        assert hot.overrides == {}
+        assert hot.rows == {}
 
     def test_every_heat_is_checked_before_the_memo(self):
         # a float32 heat equals and hashes like the Python float, so a
@@ -296,8 +312,8 @@ class TestApplyHeat:
         g = load_default_environment()
         for warm in (False, True):
             hot = apply_heat(g, {(1, 0): 0.5})
-            assert hot.overrides == apply_heat(g, {(0, 1): 0.5}).overrides
-            assert list(hot.overrides) == [(0, 1)]
+            assert hot.rows == apply_heat(g, {(0, 1): 0.5}).rows
+            assert list(hot.rows) == [g._index[(0, 1)]]
             assert hot.effective(g.edge(0, 1)) < g.effective(g.edge(0, 1))
 
 
@@ -345,7 +361,7 @@ class TestOverlayTable:
 
 class TestHeatedRowMemo:
     """apply_heat memoizes each heated row with its effective success per
-    heat and edge number; a _Heat keeps the lists of its first call."""
+    heat and edge number; a human table builds each _Heat once, whole."""
 
     HEATS = (0.0, 1e-16, 0.25, 0.5, 0.998)
 
@@ -360,17 +376,18 @@ class TestHeatedRowMemo:
 
     @staticmethod
     def rule(g, heat_map):
-        # each heated row by the rule, and every edge's effective success
+        # each heated row by the rule, keyed by its edge number, and
+        # every edge's effective success
         rows = {}
         for key, h in heat_map.items():
             edge = g.edge(*key)
             if h:
                 p = g.probs(edge)
                 scaled = p.p_success * (1.0 - h)
-                rows[edge.key()] = OutcomeProbs(
+                rows[g._index[edge.key()]] = OutcomeProbs(
                     scaled, p.p_retry + (p.p_success - scaled), p.p_fail)
-        return rows, [effective_success(rows.get(k, g.probs(e)))
-                      for k, e in g.edges.items()]
+        return rows, [effective_success(rows.get(i, g.probs(e)))
+                      for i, e in enumerate(g.edges.values())]
 
     def test_rows_and_lists_match_the_rule_cold_warm_and_stacked(self):
         rng = np.random.default_rng(41)
@@ -383,36 +400,46 @@ class TestHeatedRowMemo:
             for heat_map in maps + maps:  # heats repeat across calls
                 hot = apply_heat(g, heat_map)
                 rows, effs = self.rule(g, heat_map)
-                assert (hot.overrides, hot._effs) == (rows, effs)
+                assert (hot.rows, hot._effs) == (rows, effs)
                 for e in g.edges.values():
                     assert hot.effective(e) == effective_success(hot.probs(e))
                 twice = apply_heat(hot, maps[0])
-                assert (twice.overrides, twice._effs) == \
+                assert (twice.rows, twice._effs) == \
                     self.rule(hot, maps[0])
                 assert hot._effs == effs and g._effs == base
                 # a graph whose memo is cold builds the same overlay
                 cold._memo.clear()
                 fresh = apply_heat(cold, heat_map)
-                assert (fresh.overrides, fresh._effs) == (rows, effs)
+                assert (fresh.rows, fresh._effs) == (rows, effs)
 
-    def test_a_heat_keeps_its_lists_and_its_lowers_matches_the_rule(self):
+    def test_a_heat_keeps_its_lists_and_its_lowers_matches_the_rule(
+            self, monkeypatch):
+        # the table meets each random map through a new state; a second
+        # state of an equal map shares the heat its first state built
         rng = np.random.default_rng(42)
         for _ in range(40):
             g = random_environment(rng)
             base = list(g._effs)
-            for _ in range(3):
+            table = human._human_table(g, HeatParams())
+            for k in range(3):
                 heat_map = self.random_heat(rng, g)
-                heat = human._Heat(heat_map)
-                effs = heat.effs(g)
-                rows, kept = heat._rows, list(effs)
-                assert heat.effs(g) is effs and heat._rows is rows
+                monkeypatch.setattr(human, "build_heat_map",
+                                    lambda *args: dict(heat_map))
+                first, again = (
+                    table.heat(g, table.intern(g, HumanState(0, None, u)))
+                    for u in (2 * k / 8, (2 * k + 1) / 8))
+                heat = table.heats[first]
+                assert again == first and table.heats[again] is heat
+                rows, effs, kept = heat.rows, heat.effs, list(heat.effs)
+                assert heat.map == heat_map
                 hot = apply_heat(g, heat_map)
-                assert (rows, effs) == (hot.overrides, hot._effs)
+                assert (rows, effs) == (hot.rows, hot._effs)
                 apply_heat(hot, self.random_heat(rng, g))
-                assert heat.lowers(g) == all(
+                assert heat.lowers == all(
                     hot.effective(g.edge(*key)) <= g.effective(g.edge(*key))
                     for key in heat_map)
-                assert heat._effs == kept and g._effs == base
+                assert heat.effs == kept and g._effs == base
+                assert heat.rows is rows and heat.effs is effs
 
     def test_the_memo_stays_bounded(self, monkeypatch):
         limit = 5
@@ -422,8 +449,8 @@ class TestHeatedRowMemo:
         for _ in range(40):
             h = float(rng.random()) * 0.99
             hot = apply_heat(g, {(0, 1): h, (1, 3): h, (0, 2): 0.5})
-            assert hot.overrides == self.rule(g, {(0, 1): h, (1, 3): h,
-                                                  (0, 2): 0.5})[0]
+            assert hot.rows == self.rule(g, {(0, 1): h, (1, 3): h,
+                                             (0, 2): 0.5})[0]
             assert len(g._memo["heated"]) <= limit + 1
 
 

@@ -337,10 +337,10 @@ class TestRedirectTarget:
         leg = sim._redirect_target(g, self.mission([5, 1, 4, 3, 2]), 0,
                                    (1, 6))
         # 2 and 4 tie at 1.5 and the smaller id wins, whatever the list order
-        assert leg == shortest_distance_path(g, 0, 2)
-        assert leg.nodes == (0, 7, 2)
+        assert leg == shortest_distance_path(g, 0, 2).nodes
+        assert leg == (0, 7, 2)
         leg = sim._redirect_target(g, self.mission([5, 3, 4]), 0, (1, 6))
-        assert leg.nodes == (0, 4)
+        assert leg == (0, 4)
 
     def test_no_reachable_off_path_candidate_means_no_redirect(self):
         g = environment_from_dict(self.doc())
@@ -516,13 +516,11 @@ class TestGraphMemo:
                         heat = table.heats[table.heat_ids[hid]]
                         heat_map = build_heat_map(used, state, params)
                         assert heat.map == heat_map
-                        assert heat.items == frozenset(heat_map.items())
-                        assert table.heat_keys[heat.items] \
+                        assert table.heat_keys[frozenset(heat_map.items())] \
                             == table.heat_ids[hid]
                         hot = apply_heat(used, heat_map)
-                        if heat._rows is not None:
-                            assert heat._rows == hot.overrides
-                        assert heat.lowers(used) == all(
+                        assert (heat.rows, heat.effs) == (hot.rows, hot._effs)
+                        assert heat.lowers == all(
                             hot.effective(used.edge(*key))
                             <= used.effective(used.edge(*key))
                             for key in heat_map)
@@ -641,7 +639,7 @@ class TestGraphMemo:
             assert heat.map == {(1, 2): path_heat}
             hot = apply_heat(g, heat.map)
             assert (hot.effective(edge) <= g.effective(edge)) == lowers
-            assert heat.lowers(g) is lowers
+            assert heat.lowers is lowers
             assert planner._to_path(planner._heat_proof(g, 0, 1, heat.map)) \
                 == base
             del heated[:]

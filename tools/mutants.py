@@ -35,9 +35,9 @@ LOCKSTEP = "src/risknav/_lockstep.py"
 # (name, file, old text, new text); each changes one line of the scalar
 # tick or of its lockstep twin, of the redirect memo both engines read, of
 # the human table's layout, emptying or replacement for another mission,
-# of the seeding of a sweep batch, of the task-order scorer or its gather
-# table, of the overlay's effective-success list or of the heated-row
-# memo, or of the graph's hop rows
+# of a step's proof shortcut, of the seeding of a sweep batch, of the
+# task-order scorer or its gather table, of the overlay's effective-success
+# list or of the heated-row memo, or of the graph's hop rows
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -83,8 +83,8 @@ MUTANTS = (
      "    key = (hid, s)\n",
      "    key = (hid, 0)\n"),
     ("redirect tie-break reversed", SIM,
-     "key=lambda leg: (leg[1], leg[2][-1])))",
-     "key=lambda leg: (leg[1], -leg[2][-1])))"),
+     "key=lambda leg: (leg[1], leg[2][-1]))",
+     "key=lambda leg: (leg[1], -leg[2][-1]))"),
     ("increment loses its odd bit", SIM,
      "inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128",
      "inc = ((i0 << 64 | i1) << 1) & _MASK128"),
@@ -98,8 +98,8 @@ MUTANTS = (
      "(k + 1) * (gather[i - 1] + 1)",
      "(k + 1) * gather[i - 1]"),
     ("overlay keeps base effective success", HUMAN,
-     "        rows[keys[i]], effs[i] = hit\n",
-     "        rows[keys[i]] = hit[0]\n"),
+     "        rows[i], effs[i] = hit\n",
+     "        rows[i] = hit[0]\n"),
     ("memo keeps the unheated effective success", HUMAN,
      "hit = per[i] = (row, effective_success(row))",
      "hit = per[i] = (row, effective_success(p))"),
@@ -112,8 +112,11 @@ MUTANTS = (
      "self._hops[node] = tuple(sorted(row))",
      "self._hops[node] = tuple(row)"),
     ("tick reads the base row", HUMAN,
-     "row = heat._rows.get(key) or g.probs(g.edges[key])",
-     "row = g.probs(g.edges[key])"),
+     "heat.rows.get(i) or g.probs(g.edges[key])",
+     "g.probs(g.edges[key])"),
+    ("a heat that raises a row is proved from the base tree", HUMAN,
+     "if heat.lowers else None",
+     "if True else None"),
     ("degree-0 row gets no slot", HUMAN,
      "self.divs.extend([-1] * max(deg, 1))",
      "self.divs.extend([-1] * deg)"),
