@@ -7,15 +7,17 @@ one tick, each at its own level's uncertainty, as numpy gathers from the
 stdlib-array columns of the mission's human table, of its states and of
 its numbered steps, the same columns that the scalar loop reads, through
 views that live for one gather.  Each episode still reads
-its own PCG64 stream (O'Neill, 2014), a block of raw words at a time, so
-outcomes are those of sim._ticks, which stays the reference engine and
-finishes what this one hands off.  The table is emptied by its own rule,
-full, at the top of a loop step, as at the top of a scalar tick.
+its own PCG64 stream (O'Neill, 2014), so outcomes are those of sim._ticks,
+which stays the reference engine and finishes what this one hands off;
+the job's per-episode work outside the loop is array work too: the
+streams' states, their first blocks of raw words (a 128-bit LCG step and
+its XSL-RR output over all the episodes at once), the start humans and
+routes per distinct start, and the outcomes, returned as arrays.  The
+table is emptied by its own rule, full, at the top of a loop step, as at
+the top of a scalar tick.
 """
 
 from __future__ import annotations
-
-from dataclasses import astuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .human import _human_table, _predicted
 from .planner import order_tasks
 from .sim import (_MASK32, _NOT_ASKED, CATASTROPHIC, HOLD_TIMEOUT,
                   REDIRECT_PATIENCE, _ask, _Draws, _episode, _pcg64_states,
-                  _ticks)
+                  _pcg64_words, _ticks)
 
 # A lockstep episode reads this many raw words of its stream, at most 3 a
 # tick, and goes on on the scalar loop when it needs more.
@@ -62,47 +64,50 @@ def _bounded(words, wp, half, has, sel, n):
 
 
 def outcomes(levels, level, seeds):
-    """The fields of the EpisodeOutcome of _episode(levels[l], _Draws(s))
-    as a tuple for each l of level and s of seeds, a numpy uint64 array,
-    in order.  levels are EpisodeConfigs that differ at most in their
-    uncertainty, and level is a sequence of indices into them.
+    """The EpisodeOutcome of _episode(levels[l], _Draws(s)) for each l of
+    level and s of seeds, numpy arrays of level indices and of uint64
+    seeds, as the rows of an intp array, one column per episode: why it
+    ended (_WON, _TIMED_OUT or _CRASHED; _CAUSES maps them to the failure
+    cause), its steps, its redirects and its final robot node.  levels
+    are EpisodeConfigs that differ at most in their uncertainty.
 
-    _march steps the episodes in lockstep; those it hands off finish
-    here, on _episode from their start or on _ticks from the start of a
-    tick.  When there are more episodes than human._lanes allows, every
-    episode runs alone.
+    The episodes' PCG64 states are made in one _pcg64_states pass, and
+    _march steps the episodes in lockstep; those it hands off finish here,
+    from the same states, on _episode from their start or on _ticks from
+    the start of a tick.  When there are more episodes than human._lanes
+    allows, every episode runs alone.
     """
     g, mission = levels[0].environment, levels[0].mission
     ends = np.zeros((4, len(seeds)), np.intp)
+    states = _pcg64_states(seeds)
     if len(seeds) <= human._lanes(g, mission):
-        tails = _march(levels, level, _pcg64_states(seeds), ends)
+        tails = _march(levels, level, states, ends)
     else:
         tails = [(i, None) for i in range(len(seeds))]
-    outs = [(why == _WON, _CAUSES.get(why), steps, redirects, node)
-            for why, steps, redirects, node in zip(*ends.tolist())]
     rng = _Draws(0)
     table = _human_table(g, levels[0].heat, mission)
-    for (i, state), start in zip(tails, _pcg64_states(
-            seeds[[i for i, _ in tails]])):
-        rng.reseed(start)
+    for i, state in tails:
+        rng.reseed(states, i)
         if state is None:
-            outs[i] = astuple(_episode(levels[level[i]], rng))
-            continue
-        (robot, route, idx, h, steps, redirects, holds, tried, settled,
-         unread, half) = state
-        rng.resume(_BLOCK, unread, half)
-        outs[i] = astuple(_ticks(g, mission, table, rng, route, robot,
-                                 table.intern(g, h), idx, steps, redirects,
-                                 holds, tried, settled))
-    return outs
+            out = _episode(levels[level[i]], rng)
+        else:
+            (robot, route, idx, h, steps, redirects, holds, tried, settled,
+             unread, half) = state
+            rng.resume(_BLOCK, unread, half)
+            out = _ticks(g, mission, table, rng, route, robot,
+                         table.intern(g, h), idx, steps, redirects, holds,
+                         tried, settled)
+        ends[:, i] = (_WHY[out.failure_cause], out.steps, out.redirects,
+                      out.final_robot_node)
+    return ends
 
 
 def _march(levels, level, states, ends):
     """Step in lockstep the episodes of outcomes, at levels[l] for each l
-    of level, whose _pcg64_states entries states yields.  ends gets, per
-    episode that ends here, why it ended and its steps, redirects and
-    final node; the others are returned, as (index, None) to run from
-    their start or as (index, state at the start of a tick).
+    of level, whose PCG64 states are the _pcg64_states arrays states.
+    ends gets, per episode that ends here, why it ended and its steps,
+    redirects and final node; the others are returned, as (index, None) to
+    run from their start or as (index, state at the start of a tick).
 
     One loop step advances every live episode by one tick, as numpy
     gathers from the human table's columns, of states and of steps, with
@@ -111,19 +116,17 @@ def _march(levels, level, states, ends):
     stream: random() is a word's top 53 bits, and a 32-bit draw takes a
     word's low half and keeps its high half.  A miss in the table is
     filled by the scalar code and a redirect is asked per episode; a full
-    table is emptied at the top of a loop step.  An
-    episode whose start draw Lemire's method rejects is handed off at its
-    start; one that needs a word past its block, or whose draw is
+    table is emptied at the top of a loop step.  The blocks come from one
+    _pcg64_words pass over all the episodes, and the start humans and
+    routes are made once per distinct (start node, level) and robot start.
+    An episode whose start draw Lemire's method rejects is handed off at
+    its start; one that needs a word past its block, or whose draw is
     rejected, is handed off at the start of its tick.
     """
     g, mission = levels[0].environment, levels[0].mission
     n, count = g.node_count, ends.shape[1]
-    rng = _Draws(0)
     table = _human_table(g, levels[0].heat, mission)
-    words = np.empty(count * _BLOCK, np.uint64)
-    for i, state in enumerate(states):
-        rng.reseed(state)
-        words[i * _BLOCK:(i + 1) * _BLOCK] = rng._bits.random_raw(_BLOCK)
+    words = _pcg64_words(states, _BLOCK).ravel()
 
     lane = np.arange(count)
     wp = lane * _BLOCK
@@ -147,17 +150,15 @@ def _march(levels, level, states, ends):
         return tails
 
     live = ~fresh
-    u = np.array([cfg.uncertainty for cfg in levels])[level][live]
-    robot, pos = robot[live].tolist(), pos[live].tolist()
-    humans, plans, routes = {}, {}, []
-    starts = list(zip(pos, u.tolist()))
-    for p, pu in starts:
-        if (p, pu) not in humans:
-            humans[p, pu] = table.intern(g, _predicted(g, p, None, pu))
-    for r in robot:
-        if r not in plans:
-            plans[r] = len(routes)
-            routes.append(order_tasks(g, mission, r).ordered_tasks)
+    us = [cfg.uncertainty for cfg in levels]
+    level, robot = level[live], robot[live]
+    keys, hid = np.unique(pos[live] * len(us) + level, return_inverse=True)
+    starts = [divmod(key, len(us)) for key in keys.tolist()]
+    hid = np.array([table.intern(g, _predicted(g, p, None, us[i]))
+                    for p, i in starts])[hid]
+    starts, rbase = np.unique(robot, return_inverse=True)
+    routes = [order_tasks(g, mission, r).ordered_tasks
+              for r in starts.tolist()]
     width = len(routes[0]) + 1
     route = np.array([list(r) + [-1] for r in routes]).ravel()
     way = np.array([table.waypoints.index(t) if t >= 0 else -1
@@ -165,10 +166,9 @@ def _march(levels, level, states, ends):
     # one array per field of the state, one entry per live lane, in the
     # order that arrive and the loop unpack them
     zero = np.zeros(len(robot), np.intp)
-    lanes = [lane[live], end[live], wp[live], half[live], has[live],
-             np.array(robot), np.array([plans[r] for r in robot]) * width,
-             zero.copy(), np.array([humans[h] for h in starts]), zero.copy(),
-             zero.copy(), zero.astype(bool), zero.copy(), u, zero]
+    lanes = [lane[live], end[live], wp[live], half[live], has[live], robot,
+             rbase * width, zero.copy(), hid, zero.copy(), zero.copy(),
+             zero.astype(bool), zero.copy(), np.array(us)[level], zero]
 
     def arrive(tick):
         # the top of _ticks for every lane: advance the route, then record
@@ -282,3 +282,4 @@ def _march(levels, level, states, ends):
 
 
 _CAUSES = {_WON: None, _TIMED_OUT: HOLD_TIMEOUT, _CRASHED: CATASTROPHIC}
+_WHY = {cause: why for why, cause in _CAUSES.items()}

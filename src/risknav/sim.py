@@ -40,7 +40,6 @@ _NOT_ASKED = -2
 
 _TICK_GUARD = 100_000  # sanity bound; a legitimate episode never gets close
 
-_MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -67,12 +66,15 @@ def derive_seed(base_seed, level_index, episode_index):
 
 
 def _pcg64_states(seeds):
-    """Yield PCG64(s).state["state"] for each seed s below 2**64.
+    """PCG64(s).state["state"] for every seed s below 2**64 of seeds, as
+    four uint64 arrays: the high and low words of the states, then of the
+    increments.
 
     SeedSequence(s).generate_state(4, uint64), numpy's NEP 19 hash of a
     4-word pool holding s's two little-endian 32-bit words (one-word seeds
     hash as [s, 0]), runs as uint32 array operations over all the seeds;
-    PCG's srandom step then makes each state and increment from its words.
+    PCG's srandom step, inc = 2 * initseq + 1 and state = (initstate + inc)
+    stepped once, then runs on the words as 128-bit multiply-adds.
     """
     import numpy as np
 
@@ -97,11 +99,43 @@ def _pcg64_states(seeds):
                 pool[dst] = value ^ value >> 16
     out = hasher(0x8B51F9DD, 0x58F38DED)
     words = [out(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    for s0, s1, i0, i1 in zip(*((lo | hi << 32).tolist()
-                                for lo, hi in zip(words[::2], words[1::2]))):
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = ((s0 << 64 | s1) + inc) * _PCG64_MULT + inc
-        yield {"state": state & _MASK128, "inc": inc}
+    s0, s1, i0, i1 = (lo | hi << 32
+                      for lo, hi in zip(words[::2], words[1::2]))
+    inc_hi, inc_lo = i0 << 1 | i1 >> 63, i1 << 1 | 1
+    lo = s1 + inc_lo
+    return (*_pcg64_step(s0 + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo),
+            inc_hi, inc_lo)
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG64_MULT + inc mod 2**128, on uint64 arrays of the high
+    and low words of the states and increments.  numpy has no 128-bit
+    product, so the high word of lo times the multiplier's low word is
+    summed from 32-bit limbs."""
+    m_hi, m_lo = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
+    b0, b1 = m_lo & _MASK32, m_lo >> 32
+    a0, a1 = lo & _MASK32, lo >> 32
+    t, u = a0 * b0, a1 * b0
+    mid = (t >> 32) + (u & _MASK32) + a0 * b1
+    hi = a1 * b1 + (u >> 32) + (mid >> 32) + lo * m_hi + hi * m_lo
+    lo = lo * m_lo + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def _pcg64_words(states, n):
+    """The first n raw words of PCG64(s) for every seed s whose
+    _pcg64_states entry is in states, as a (seeds, n) uint64 array.  A
+    word is the XSL-RR output of the state after one more step: its high
+    word xor its low word, rotated right by its top 6 bits."""
+    import numpy as np
+
+    hi, lo, inc_hi, inc_lo = states
+    words = np.empty((len(hi), n), np.uint64)
+    for k in range(n):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        x, r = hi ^ lo, hi >> 58
+        words[:, k] = x >> r | x << (64 - r & 63)
+    return words
 
 
 class _Draws:
@@ -112,9 +146,10 @@ class _Draws:
     integers(n) is Lemire's bounded method on 32-bit draws.  A 32-bit draw
     takes the low half of a word and keeps the high half for the next one;
     random() does not touch the kept half, as in numpy's PCG64.  A sweep
-    batch reseeds one _Draws per episode from _pcg64_states and reads its
-    first block, and resume hands the rest of the stream to the scalar
-    loop.
+    job reads the first block of every episode's stream from _pcg64_words;
+    for an episode it hands to the scalar loop, reseed restarts the stream
+    from the episode's _pcg64_states entry and resume goes on past what the
+    job read.
     """
 
     __slots__ = ("_bits", "_words", "_half")
@@ -127,9 +162,13 @@ class _Draws:
         self._words = []  # the current block, reversed
         self._half = None
 
-    def reseed(self, state):
-        """Restart as _Draws(s), given _pcg64_states' entry for s."""
-        self._bits.state = {"bit_generator": "PCG64", "state": state,
+    def reseed(self, states, i):
+        """Restart as _Draws(s), for the seed s at index i of the arrays
+        that _pcg64_states gave."""
+        s_hi, s_lo, inc_hi, inc_lo = (int(a[i]) for a in states)
+        self._bits.state = {"bit_generator": "PCG64",
+                            "state": {"state": s_hi << 64 | s_lo,
+                                      "inc": inc_hi << 64 | inc_lo},
                             "has_uint32": 0, "uinteger": 0}
         self._words, self._half = [], None
 
@@ -364,7 +403,8 @@ def _sweep_chunk(job):
 def _run_chunk(levels, episodes, lo, hi):
     """Run the episodes lo to hi - 1 of a sweep, numbered level by level
     (level index times episodes, plus episode index), as one lockstep
-    job; returns a Counter of (level index, failure cause, redirects)."""
+    job; returns a Counter of (level index, failure cause, redirects),
+    counted from the job's outcome arrays by one np.unique."""
     # numpy and the lockstep engine load with the first job
     import numpy as np
 
@@ -373,10 +413,15 @@ def _run_chunk(levels, episodes, lo, hi):
     flat = np.arange(lo, hi, dtype=np.uint64)
     level = flat // episodes
     seeds = derive_seed(levels[0].seed, level, flat % episodes)
-    level = level.tolist()
-    return Counter(
-        (i, cause, redirects) for i, (_, cause, _, redirects, _)
-        in zip(level, _lockstep.outcomes(levels, level, seeds)))
+    level = level.astype(np.intp)
+    why, _, redirects, _ = _lockstep.outcomes(levels, level, seeds)
+    # one key per (level, why, redirects), why being below 4
+    span = int(redirects.max()) + 1
+    keys, counts = np.unique((level * 4 + why) * span + redirects,
+                             return_counts=True)
+    return Counter({(k // span >> 2, _lockstep._CAUSES[k // span & 3],
+                     k % span): c
+                    for k, c in zip(keys.tolist(), counts.tolist())})
 
 
 def _sweep_row(u, tally):

@@ -40,9 +40,17 @@ def scalar(cfg, seeds):
             for s in seeds.tolist()]
 
 
+def tuples(ends):
+    """_lockstep.outcomes' arrays as one EpisodeOutcome tuple an episode."""
+    return [(why == _lockstep._WON, _lockstep._CAUSES[why], steps,
+             redirects, node) for why, steps, redirects, node
+            in zip(*ends.tolist())]
+
+
 def one_level(cfg, seeds):
-    """_lockstep.outcomes for seeds all at cfg."""
-    return _lockstep.outcomes((cfg,), [0] * len(seeds), seeds)
+    """_lockstep.outcomes for seeds all at cfg, as EpisodeOutcome tuples."""
+    return tuples(_lockstep.outcomes((cfg,), np.zeros(len(seeds), np.intp),
+                                     seeds))
 
 
 def episode_seeds(base, level, n):
@@ -127,7 +135,7 @@ class TestDraws:
                 ref._uint32()
             block = np.random.PCG64(seed).random_raw(96)
             again = sim._Draws(0)
-            again.reseed(next(sim._pcg64_states([seed])))
+            again.reseed(sim._pcg64_states([seed]), 0)
             again.resume(96, block[read:].tolist(), ref._half)
             for k in plan.integers(len(sizes) + 1, size=300).tolist():
                 if k == len(sizes):
@@ -276,7 +284,7 @@ class TestParity:
             level = pick.integers(len(us), size=240)
             seeds = derive_seed(9, level.astype(np.uint64),
                                 np.arange(240, dtype=np.uint64))
-            got = _lockstep.outcomes(levels, level.tolist(), seeds)
+            got = tuples(_lockstep.outcomes(levels, level, seeds))
             assert got == [astuple(run_episode(replace(levels[i], seed=s)))
                            for i, s in zip(level.tolist(), seeds.tolist())]
             seen.update((us[i], min(o[3], 2))
@@ -284,6 +292,36 @@ class TestParity:
         assert any(tails)
         assert all(seen[u, 1] > 0 for u in us)
         assert seen[0.0, 2] > 0 and seen[0.3, 2] > 0
+
+    def test_a_job_tallies_its_episodes(self, engine, monkeypatch):
+        # a job of three levels that starts and ends inside a level, on the
+        # corridor that allows a second request: its Counter of (level,
+        # cause, redirects) is the tally of its episodes on the scalar loop
+        tails = []
+        real = _lockstep._march
+
+        def march(*args):
+            out = real(*args)
+            tails.extend(state is not None for _, state in out)
+            return out
+
+        monkeypatch.setattr(_lockstep, "_march", march)
+        g, mission = corridor([[0, 1, 1.0, "Medium"], [1, 2, 1.0, "Medium"],
+                               [2, 3, 1.0, "Low"]], 4, tasks=[1], end=2,
+                              safe_locations=[3, 2])
+        levels = tuple(EpisodeConfig(g, mission, HeatParams(), u, 9)
+                       for u in (0.0, 0.3, 1.0))
+        episodes, lo, hi = 100, 40, 260
+        tally = Counter()
+        for i in range(lo, hi):
+            level, episode = divmod(i, episodes)
+            out = run_episode(replace(levels[level],
+                                      seed=derive_seed(9, level, episode)))
+            tally[level, out.failure_cause, out.redirects] += 1
+        assert sim._run_chunk(levels, episodes, lo, hi) == tally
+        assert {level for level, _, _ in tally} == {0, 1, 2}
+        assert max(redirects for _, _, redirects in tally) >= 2
+        assert any(tails) == (engine == "small blocks")
 
     def test_a_sweep_is_its_episodes(self):
         # two batches of one level, a level of one batch, and a partial

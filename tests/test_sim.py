@@ -126,29 +126,41 @@ class TestDraws:
                     n = sizes[k]
                     assert draws.integers(n) == ref.integers(n)
 
+    # the 32-bit word boundaries, the largest seed, and 3,300 sweep seeds
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1] + [
+        derive_seed(7, lvl, ep) for lvl in range(11) for ep in range(300)]
+
     def test_batched_states_are_the_pcg64_states(self):
-        # the 32-bit word boundaries, the largest seed, and 3,300 sweep
-        # seeds; reseeding must leave the whole PCG64 state numpy's own
-        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
-        seeds += [derive_seed(7, lvl, ep)
-                  for lvl in range(11) for ep in range(300)]
+        # reseeding must leave the whole PCG64 state numpy's own
         draws = sim._Draws(0)
-        states = list(sim._pcg64_states(seeds))
-        assert len(states) == len(seeds)
-        for seed, state in zip(seeds, states):
-            draws.reseed(state)
+        states = sim._pcg64_states(self.SEEDS)
+        assert len(states) == 4
+        for words in states:
+            assert words.dtype == np.uint64 and len(words) == len(self.SEEDS)
+        for i, seed in enumerate(self.SEEDS):
+            draws.reseed(states, i)
             assert draws._bits.state == np.random.PCG64(seed).state
+
+    @pytest.mark.parametrize("n", [8, 96])
+    def test_the_word_kernel_is_random_raw(self, n):
+        # uint64 arithmetic that wraps, with overflow warnings as errors
+        words = sim._pcg64_words(sim._pcg64_states(self.SEEDS), n)
+        assert words.dtype == np.uint64
+        assert words.shape == (len(self.SEEDS), n)
+        for seed, row in zip(self.SEEDS, words.tolist()):
+            assert row == np.random.PCG64(seed).random_raw(n).tolist()
 
     def test_a_reseeded_stream_is_a_fresh_one(self):
         sizes = (1, 2, 5, 30, 2 ** 31 + 1)
         plan = np.random.default_rng(97)
         seeds = [0, 2 ** 32, 2 ** 64 - 1, derive_seed(7, 3, 11)]
         draws = sim._Draws(5)
-        for seed, state in zip(seeds, sim._pcg64_states(seeds)):
+        states = sim._pcg64_states(seeds)
+        for i, seed in enumerate(seeds):
             # leave a part-read block and a kept 32-bit half behind
             draws.random()
             draws.integers(30)
-            draws.reseed(state)
+            draws.reseed(states, i)
             fresh = sim._Draws(seed)
             for k in plan.integers(len(sizes) + 1, size=200).tolist():
                 if k == len(sizes):

@@ -35,9 +35,10 @@ LOCKSTEP = "src/risknav/_lockstep.py"
 # (name, file, old text, new text); each changes one line of the scalar
 # tick or of its lockstep twin, of the redirect memo both engines read, of
 # the human table's layout, emptying or replacement for another mission,
-# of a step's proof shortcut, of the seeding of a sweep batch, of the
-# task-order scorer or its gather table, of the overlay's effective-success
-# list or of the heated-row memo, or of the graph's hop rows
+# of a step's proof shortcut, of the seeding of a sweep job, of its
+# PCG64 word kernel or of its outcome tally, of the task-order scorer or
+# its gather table, of the overlay's effective-success list or of the
+# heated-row memo, or of the graph's hop rows
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -86,8 +87,17 @@ MUTANTS = (
      "key=lambda leg: (leg[1], leg[2][-1]))",
      "key=lambda leg: (leg[1], -leg[2][-1]))"),
     ("increment loses its odd bit", SIM,
-     "inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128",
-     "inc = ((i0 << 64 | i1) << 1) & _MASK128"),
+     "inc_hi, inc_lo = i0 << 1 | i1 >> 63, i1 << 1 | 1\n",
+     "inc_hi, inc_lo = i0 << 1 | i1 >> 63, i1 << 1\n"),
+    ("word kernel drops its carry", SIM,
+     "return hi + inc_hi + (lo < inc_lo), lo",
+     "return hi + inc_hi, lo"),
+    ("word kernel rotates by 5 bits", SIM,
+     "x, r = hi ^ lo, hi >> 58",
+     "x, r = hi ^ lo, hi >> 59"),
+    ("tally key folds redirects into the cause", SIM,
+     "(level * 4 + why) * span + redirects",
+     "(level * 4 + why + redirects) * span"),
     ("chunk numbers episodes from 0", SIM,
      "np.arange(lo, hi, dtype=np.uint64)",
      "np.arange(hi - lo, dtype=np.uint64)"),
