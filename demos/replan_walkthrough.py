@@ -11,10 +11,9 @@ Run:  python3 demos/replan_walkthrough.py
 
 from dataclasses import replace
 
-from risknav import (HeatParams, HumanState, apply_heat, build_chain,
-                     build_heat_map, evaluate_chain,
+from risknav import (HeatParams, HumanState, apply_heat, build_heat_map,
                      load_default_environment, max_success_path,
-                     predict_human_path)
+                     path_from_nodes, predict_human_path)
 
 ROBOT_START, ROBOT_GOAL = 25, 17
 HUMAN_POS, HUMAN_GOAL = 15, 6
@@ -45,7 +44,7 @@ def main():
         print(f"  edge {key[0]:>2}-{key[1]:<2} heat {heat[key]:.3f}")
 
     heated = apply_heat(g, heat)
-    r_heated = evaluate_chain(build_chain(heated, original.nodes))
+    r_heated = path_from_nodes(heated, original.nodes).success_probability
     verdict = "keep" if r_heated >= THRESHOLD else "replan"
     print(f"\nsame route re-validated under heat: r = {r_heated:.4f} "
           f"-> {verdict} (threshold {THRESHOLD})")

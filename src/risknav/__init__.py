@@ -10,8 +10,7 @@ from .env import (DEFAULT_RISK_TABLE, Edge, EnvironmentGraph, HeatedGraph,
 from .planner import (MissionPlan, Path, UnreachableNodeError,
                       max_success_path, order_tasks, path_from_nodes,
                       shortest_distance_path)
-from .verify import (FixedPolicyChain, build_chain, evaluate_chain,
-                     export_prism, plan_validated_path)
+from .verify import export_prism, plan_validated_path
 from .human import (HeatParams, HumanState, apply_heat, build_heat_map,
                     predict_human_path, step_human)
 from .sim import (EpisodeConfig, EpisodeOutcome, SweepReport, SweepRow,

@@ -18,10 +18,11 @@ import tempfile
 from .env import _environment_or_default, _mission_or_default
 from .human import HeatParams, _predicted, apply_heat, build_heat_map
 from .planner import (UnreachableNodeError, check_reachable,
-                      max_success_path, shortest_distance_path)
+                      max_success_path, path_from_nodes,
+                      shortest_distance_path)
 from .sim import (EpisodeConfig, load_sweep_config, read_sweep_config,
                   run_episode, run_sweep, summarize)
-from .verify import build_chain, evaluate_chain, export_prism
+from .verify import export_prism
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -112,21 +113,20 @@ def cmd_plan(args):
 
 
 def cmd_validate(args):
-    chain = build_chain(_environment_or_default(args.env), args.nodes)
-    r = evaluate_chain(chain)
-    print(f"path:      {_fmt_nodes(chain.path)}")
-    print(f"validated: {r!r}")
+    path = path_from_nodes(_environment_or_default(args.env), args.nodes)
+    print(f"path:      {_fmt_nodes(path.nodes)}")
+    print(f"validated: {path.success_probability!r}")
     return EXIT_OK
 
 
 def cmd_export_prism(args):
-    chain = build_chain(_environment_or_default(args.env), args.nodes)
+    g = _environment_or_default(args.env)
     label = "path " + "-".join(str(n) for n in args.nodes)
-    model, props = export_prism(chain, label)
+    model, props = export_prism(g, args.nodes, label)
     _write_atomic(args.out + ".nm", model)
     _write_atomic(args.out + ".props", props)
     print(f"wrote {args.out}.nm and {args.out}.props", file=sys.stderr)
-    print(repr(evaluate_chain(chain)))
+    print(repr(path_from_nodes(g, args.nodes).success_probability))
     return EXIT_OK
 
 

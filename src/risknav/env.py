@@ -465,6 +465,10 @@ def _read_json(source):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{source}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            # a RuntimeError, which the CLI would report as no solution
+            raise ValueError(f"{source}: not valid JSON (nested too "
+                             "deeply)") from exc
 
 
 def load_environment(source):

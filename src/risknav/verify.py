@@ -1,82 +1,36 @@
-"""Fixed-policy path validation via an absorbing Markov chain.
+"""Fixed-policy path validation and its PRISM export.
 
 A planned path, executed under a retry-until-success-or-failure policy,
-induces a chain with one transient state per path position plus two
-absorbing states (done / dead).  The probability of reaching done has a
-closed form, the product of each edge's effective success, which is the
-same left-to-right product the planner accumulates along a path.
+is an absorbing Markov chain with one transient state per path position
+plus two absorbing states (done / dead).  The probability of reaching
+done has a closed form, the product of each edge's effective success:
+the path's own success_probability, which path_from_nodes and the
+planners accumulate left to right.  export_prism renders the chain for a
+model checker to confirm that value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .env import OutcomeProbs, effective_success
 from .planner import max_success_path, path_from_nodes
 
 
-@dataclass(frozen=True)
-class FixedPolicyChain:
-    """Absorbing chain of a path under the fixed retry policy.
+def export_prism(g, nodes, path_label):
+    """Render the chain of the node sequence on g as a PRISM mdp model
+    plus a companion property.
 
-    probs holds one OutcomeProbs per traversed edge; transient state i
-    attempts edge i, state len(probs) is done, state len(probs)+1 is dead.
+    Transient state i attempts the hop nodes[i] -> nodes[i + 1] with that
+    edge's row on g; state len(nodes) - 1 is done and the state after it
+    dead.  The hops are checked first, as path_from_nodes checks them.
+    Output is byte-stable: probabilities are written with shortest
+    round-trip repr and states are numbered along the path.  Returns
+    (model_text, props_text).
     """
-
-    path: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        if not all(isinstance(p, OutcomeProbs) for p in self.probs):
-            raise ValueError(f"chain of path {self.path}: every row must "
-                             "be an OutcomeProbs")
-
-    @property
-    def done_index(self):
-        return len(self.probs)
-
-    @property
-    def dead_index(self):
-        return len(self.probs) + 1
-
-
-def build_chain(g, nodes):
-    """Chain for an explicit node sequence; every hop must be an edge of g."""
-    path = path_from_nodes(g, nodes)  # validates hops
-    probs = tuple(g.probs(g.edge(a, b))
-                  for a, b in zip(path.nodes, path.nodes[1:]))
-    return FixedPolicyChain(path.nodes, probs)
-
-
-def evaluate_chain(chain):
-    r"""Probability that the chain is absorbed in done.
-
-    The retry self-loop at state i resolves geometrically, so
-
-        P(done) = prod_i  p_success_i / (p_success_i + p_fail_i)
-
-    accumulated left to right from 1.0, bit for bit the success_probability
-    the planner gives the same path.  p_retry is never read: each row's sum
-    was checked when its OutcomeProbs was built.
-    """
-    closed = 1.0
-    for p in chain.probs:
-        closed = closed * effective_success(p)
-    return closed
-
-
-def export_prism(chain, path_label):
-    """Render the chain as a PRISM mdp model plus a companion property.
-
-    Output is byte-stable for identical chains: probabilities are written
-    with shortest round-trip repr and states are numbered along the path.
-    Returns (model_text, props_text).
-    """
-    done, dead = chain.done_index, chain.dead_index
+    nodes = path_from_nodes(g, nodes).nodes  # validates hops
+    done, dead = len(nodes) - 1, len(nodes)
     lines = [
         f"// {path_label}",
         "// fixed-policy traversal of path " +
-        " -> ".join(str(n) for n in chain.path),
+        " -> ".join(str(n) for n in nodes),
         "",
         "mdp",
         "",
@@ -87,7 +41,8 @@ def export_prism(chain, path_label):
         f"    state : [0..{dead}] init 0;",
         "",
     ]
-    for i, p in enumerate(chain.probs):
+    for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
+        p = g.probs(g.edge(a, b))
         lines.append(
             f"    [] state={i} -> {p.p_success!r}:(state'={i + 1})"
             f" + {p.p_retry!r}:(state'={i})"
@@ -112,10 +67,9 @@ def plan_validated_path(g, start, final, heated=None):
 
     Planning runs on the heat overlay when one is given, otherwise on g.
     Returns (path, validated_probability), or (None, None) when final is
-    unreachable.  The planner accumulates the same left-to-right product
-    that evaluate_chain returns, so the path's success_probability is its
-    chain's value and no chain is rebuilt; no other candidate, the
-    shortest-distance path included, can validate higher.
+    unreachable.  The validated probability is the path's own
+    success_probability, the closed form of its chain; no other candidate,
+    the shortest-distance path included, can validate higher.
     """
     path = max_success_path(heated if heated is not None else g, start,
                             final)

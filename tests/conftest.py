@@ -70,6 +70,11 @@ def path_stats(g, nodes):
     return dist, prob
 
 
+def hop_rows(g, nodes):
+    """The OutcomeProbs row of each hop of nodes on g, in path order."""
+    return [g.probs(g.edge(a, b)) for a, b in zip(nodes, nodes[1:])]
+
+
 def oracle_shortest(g, start, goal):
     cands = simple_paths(g, start, goal)
     if not cands:

@@ -4,7 +4,8 @@ One test per contract item, each printing a PASS line with its measured
 numbers so a verbose run reads as a checklist:
 
 1. both planners match a brute-force oracle on 200 random graphs
-2. chain validation equals the probability product and a Monte-Carlo run
+2. a path's probability is its chain's closed form and matches a
+   Monte-Carlo run of the chain
 3. exported models agree with a PRISM binary when one is installed
 4. the bundled environment reproduces the conflict-and-replan scenario
 5. the uncertainty sweep shows the expected trend shape at desk scale
@@ -23,14 +24,14 @@ import numpy as np
 import pytest
 
 from risknav import (EpisodeConfig, HeatParams, HumanState, apply_heat,
-                     build_chain, build_heat_map, effective_success,
-                     evaluate_chain, export_prism, max_success_path,
-                     plan_validated_path, run_episode, run_sweep,
-                     shortest_distance_path, summarize)
+                     build_heat_map, effective_success, export_prism,
+                     max_success_path, path_from_nodes, plan_validated_path,
+                     run_episode, run_sweep, shortest_distance_path,
+                     summarize)
 from risknav.sim import DEFAULT_LEVELS, derive_seed
 
-from conftest import (oracle_max_success, oracle_shortest, path_stats,
-                      random_environment, simple_paths)
+from conftest import (hop_rows, oracle_max_success, oracle_shortest,
+                      path_stats, random_environment, simple_paths)
 
 SWEEP_SEED = 7
 SWEEP_EPISODES = 2000
@@ -82,10 +83,11 @@ def test_1_planner_oracle_equivalence():
           f"exact including tie-breaks, {elapsed:.1f}s)")
 
 
-def _simulate_chain(rng, chain, trials):
-    """Attempt-level Monte-Carlo of the fixed retry policy."""
+def _simulate_chain(rng, rows, trials):
+    """Attempt-level Monte-Carlo of the fixed retry policy over the hop
+    rows of a path."""
     alive = np.ones(trials, dtype=bool)
-    for p in chain.probs:
+    for p in rows:
         attempting = alive.copy()
         while True:
             idx = np.flatnonzero(attempting)
@@ -115,17 +117,17 @@ def test_2_chain_closed_form_and_monte_carlo():
         if not cands:
             continue
         nodes = cands[int(rng.integers(len(cands)))]
-        chain = build_chain(g, nodes)
+        rows = hop_rows(g, nodes)
 
         # the closed form against the exact rational product of the rows'
         # floats: a k-edge chain is within 3k relative rounding errors of
         # 2**-53 of it (the bound test_verify.py derives)
-        solved = evaluate_chain(chain)
+        solved = path_from_nodes(g, nodes).success_probability
         exact = Fraction(1)
-        for p in chain.probs:
+        for p in rows:
             ps, pf = Fraction(p.p_success), Fraction(p.p_fail)
             exact *= ps / (ps + pf)
-        k = len(chain.probs)
+        k = len(rows)
         gap = abs(Fraction(solved) - exact) / exact * 2**53
         assert gap <= 3 * k
         worst_gap = max(worst_gap, float(gap) / k if k else 0.0)
@@ -133,7 +135,7 @@ def test_2_chain_closed_form_and_monte_carlo():
         # each path is gated at 3 sigma on its own, so over 100 paths a
         # fresh seed fails working code about 1 - 0.9973**100 = 24% of
         # the time; at seed 202 the worst path reads 2.92 sigma
-        estimate = _simulate_chain(rng, chain, trials)
+        estimate = _simulate_chain(rng, rows, trials)
         se = np.sqrt(solved * (1.0 - solved) / trials)
         if se > 0.0:
             sigma = abs(estimate - solved) / se
@@ -156,9 +158,8 @@ def test_3_prism_cross_check(default_env, tmp_path):
         pytest.skip("no prism binary on PATH")
     worst = 0.0
     for nodes in GOLDEN_PATHS:
-        chain = build_chain(default_env, nodes)
         label = "path " + "-".join(str(n) for n in nodes)
-        model, props = export_prism(chain, label)
+        model, props = export_prism(default_env, nodes, label)
         stem = tmp_path / ("chain_" + "_".join(str(n) for n in nodes))
         stem.with_suffix(".nm").write_text(model)
         stem.with_suffix(".props").write_text(props)
@@ -169,7 +170,8 @@ def test_3_prism_cross_check(default_env, tmp_path):
         assert ran.returncode == 0, ran.stderr
         hit = re.search(r"Result:\s*([0-9.eE+-]+)", ran.stdout)
         assert hit is not None, ran.stdout
-        gap = abs(float(hit.group(1)) - evaluate_chain(chain))
+        gap = abs(float(hit.group(1))
+                  - path_from_nodes(default_env, nodes).success_probability)
         assert gap <= 1e-6
         worst = max(worst, gap)
     print(f"\ncriterion 3: PASS (5 models, worst Pmax gap {worst:.2e} "
@@ -187,7 +189,7 @@ def test_4_conflict_and_replan_scenario(default_env):
     assert 11 in unheated.nodes and 11 in predicted
 
     heated = apply_heat(g, build_heat_map(g, human, HeatParams()))
-    r_original = evaluate_chain(build_chain(heated, unheated.nodes))
+    r_original = path_from_nodes(heated, unheated.nodes).success_probability
     assert 0.30 <= r_original <= 0.50
 
     replanned, r_replanned = plan_validated_path(g, 25, 17, heated=heated)
@@ -291,8 +293,10 @@ def test_7b_heat_monotonicity_of_chain_validation():
         low = {key: float(rng.uniform(0.0, 0.9)) for key in g.edges}
         high = {key: h + float(rng.uniform(0.0, 0.999 - h))
                 for key, h in low.items()}
-        p_low = evaluate_chain(build_chain(apply_heat(g, low), nodes))
-        p_high = evaluate_chain(build_chain(apply_heat(g, high), nodes))
+        p_low = path_from_nodes(apply_heat(g, low), nodes) \
+            .success_probability
+        p_high = path_from_nodes(apply_heat(g, high), nodes) \
+            .success_probability
         assert p_high <= p_low + 1e-12
         cases += 1
     print("\ncriterion 7b: PASS (more heat never raises a chain's "
@@ -314,8 +318,8 @@ def test_7c_zero_heat_identity():
         assert hot.rows == {}
         for edge in g.edges.values():
             assert hot.probs(edge) is g.probs(edge)
-        assert evaluate_chain(build_chain(hot, nodes)) \
-            == evaluate_chain(build_chain(g, nodes))
+        assert path_from_nodes(hot, nodes).success_probability \
+            == path_from_nodes(g, nodes).success_probability
         cases += 1
     print("\ncriterion 7c: PASS (zero heat is the identity, 1000 cases)")
 
@@ -335,9 +339,10 @@ def test_7d_probability_path_is_never_beaten():
         t = int(rng.integers(g.node_count))
         dist_path = shortest_distance_path(hot, s, t)
         prob_path = max_success_path(hot, s, t)
-        r_prob = evaluate_chain(build_chain(hot, prob_path.nodes))
+        r_prob = path_from_nodes(hot, prob_path.nodes).success_probability
         if dist_path.nodes != prob_path.nodes:
-            r_dist = evaluate_chain(build_chain(hot, dist_path.nodes))
+            r_dist = path_from_nodes(hot, dist_path.nodes) \
+                .success_probability
             assert r_dist <= r_prob
             differing += 1
         path, r = plan_validated_path(g, s, t, heated=hot)

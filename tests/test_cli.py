@@ -486,6 +486,18 @@ class TestSweep:
         assert code == 1
         assert "episodes_per_level" in err
 
+    def test_deeply_nested_json_exits_one(self, capsys, tmp_path):
+        # the decoder's RecursionError is a RuntimeError, which cli.main
+        # reports as no solution (exit 2) unless the reader maps it
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
+        for flag in ("--env", "--mission", "--config"):
+            code, out, err = run(capsys, "sweep", flag, str(target),
+                                 "--episodes", "1")
+            assert (code, out) == (1, ""), flag
+            assert err == (f"error: {target}: not valid JSON "
+                           "(nested too deeply)\n"), flag
+
 
 class TestParserErrors:
     def test_unknown_command_exits_one(self, capsys):

@@ -1,6 +1,7 @@
 """Run Tier-1 against one-line mutants of the episode tick in both
 engines, of the human table, of sweep seeding, of task ordering, of the
-heat overlay and of the graph's adjacency.
+heat overlay, of the graph's adjacency, of the PRISM export and of the
+JSON reader.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -31,6 +32,7 @@ PLANNER = "src/risknav/planner.py"
 HUMAN = "src/risknav/human.py"
 ENV = "src/risknav/env.py"
 LOCKSTEP = "src/risknav/_lockstep.py"
+VERIFY = "src/risknav/verify.py"
 
 # (name, file, old text, new text); each changes one line of the scalar
 # tick or of its lockstep twin, of the redirect memo both engines read, of
@@ -38,7 +40,8 @@ LOCKSTEP = "src/risknav/_lockstep.py"
 # of a step's proof shortcut, of the seeding of a sweep job, of its
 # PCG64 word kernel or of its outcome tally, of the task-order scorer or
 # its gather table, of the overlay's effective-success list or of the
-# heated-row memo, or of the graph's hop rows
+# heated-row memo, of the graph's hop rows, of the row the PRISM export
+# reads or of the reader's answer to a JSON document nested too deeply
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -136,6 +139,12 @@ MUTANTS = (
     ("a table outlives its mission", HUMAN,
      "if table is None or (table.waypoints, table.safe) != key:",
      "if table is None or table.waypoints != key[0]:"),
+    ("export reads the base row on an overlay", VERIFY,
+     "        p = g.probs(g.edge(a, b))\n",
+     "        p = getattr(g, \"base\", g).probs(g.edge(a, b))\n"),
+    ("deep JSON is not mapped to an input error", ENV,
+     "        except RecursionError as exc:\n",
+     "        except ZeroDivisionError as exc:\n"),
 )
 
 
