@@ -139,8 +139,11 @@ def _heat_proof(g, start, goal, heated):
         return None
     for a, b in heated:
         for src, dst in ((a, b), (b, a)):
+            # most entries come after goal's, so compare before reading
+            # the hop; start's entry has none
             hit = tree.get(dst)
-            if hit is not None and hit[2][-2:-1] == (src,) and hit <= entry:
+            if (hit is not None and hit <= entry and dst != start
+                    and hit[2][-2] == src):
                 return None
     return entry
 

@@ -145,11 +145,12 @@ class _Draws:
     would, for 1 <= n <= 2**32: random() is the top 53 bits of a word, and
     integers(n) is Lemire's bounded method on 32-bit draws.  A 32-bit draw
     takes the low half of a word and keeps the high half for the next one;
-    random() does not touch the kept half, as in numpy's PCG64.  A sweep
-    job reads the first block of every episode's stream from _pcg64_words;
-    for an episode it hands to the scalar loop, reseed restarts the stream
-    from the episode's _pcg64_states entry and resume goes on past what the
-    job read.
+    random() does not touch the kept half, as in numpy's PCG64, and
+    neither does retries, which reads a run of random() draws in one scan.
+    A sweep job reads the first block of every episode's stream from
+    _pcg64_words; for an episode it hands to the scalar loop, reseed
+    restarts the stream from the episode's _pcg64_states entry and resume
+    goes on past what the job read.
     """
 
     __slots__ = ("_bits", "_words", "_half")
@@ -195,6 +196,30 @@ class _Draws:
 
     def random(self):
         return (self._word() >> 11) * 2.0 ** -53
+
+    def retries(self, lo, hi, limit):
+        """Read random() while it falls in [lo, hi), at most limit times,
+        and return how many it read; the first draw outside is left
+        unread, and the kept 32-bit half is untouched.  Past the current
+        block the stream is scanned in numpy blocks of 1,024 words, whose
+        unread tail becomes the current block."""
+        words, run = self._words, 0
+        while words and run < limit:
+            if not lo <= (words[-1] >> 11) * 2.0 ** -53 < hi:
+                return run
+            words.pop()
+            run += 1
+        while run < limit:
+            block = self._bits.random_raw(1024)
+            unit = (block >> 11) * 2.0 ** -53
+            out = (unit < lo) | (unit >= hi)
+            stop = min(int(out.argmax()) if out.any() else 1024,
+                       limit - run)
+            run += stop
+            if stop < 1024:
+                self._words = block[stop:][::-1].tolist()
+                break
+        return run
 
     def integers(self, n):
         if n == 1:
@@ -284,8 +309,10 @@ def run_episode(cfg):
     keeps it for one episode.  The robot moves only while the step's
     effective success is at least the mission threshold.  Only a redirect
     gives the human a goal, a safe spot.  Draws come from _Draws(cfg.seed),
-    which gives what np.random.default_rng(cfg.seed) would; the episode and
-    the human table call only its random() and integers(n).
+    which gives what np.random.default_rng(cfg.seed) would; the human
+    table calls only its random() and integers(n), and the episode those
+    and retries, which reads a run of retry draws as that many random()
+    calls would.
     """
     return _episode(cfg, _Draws(cfg.seed))
 
@@ -311,8 +338,15 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
     """The rest of an episode from the start of a tick, given its state:
     the robot, its route and the index of its objective, the human's id
     in table, and the counters.  This scalar loop is the reference that
-    the lockstep engine of a sweep reproduces."""
-    states, heat_ids = table.states, table.heat_ids
+    the lockstep engine of a sweep reproduces, and it finishes the
+    episodes that engine hands off.
+
+    A retry beside a human at uncertainty 0 that follows itself repeats,
+    tick after tick, until a draw leaves [ps, psr): one rng.retries scan
+    reads that run, up to the tick guard, and steps, and settled while
+    the human stands at its goal, advance by its length, so the draws,
+    the outcome and a tick-guard stop are those of playing every tick."""
+    states, follows, heat_ids = table.states, table.follow_ids, table.heat_ids
     nxts, ps, psr, effs = table.nxt, table.ps, table.psr, table.eff
     ways = [table.waypoints.index(t) for t in route]
     while True:
@@ -365,6 +399,12 @@ def _ticks(g, mission, table, rng, route, robot, hid, idx=0, steps=0,
         elif draw >= psr[s]:
             return EpisodeOutcome(False, CATASTROPHIC, steps, redirects,
                                   robot)
+        elif human.uncertainty == 0.0 and follows[hid] == hid:
+            # a retry run beside a still human, read in one scan
+            run = rng.retries(ps[s], psr[s], _TICK_GUARD - steps)
+            steps += run
+            if human.position == human.goal:
+                settled += run
 
 
 # A sweep job steps at most this many episodes in lockstep: 2.1 MB of

@@ -21,7 +21,8 @@ from risknav import (EpisodeConfig, HeatParams, env, environment_from_dict,
 from risknav import _lockstep
 from risknav.sim import derive_seed
 
-from conftest import random_connected_doc
+from conftest import (co_located_seeds, counting_retries,
+                      random_connected_doc, replayed, still_human_cases)
 
 # the default engine, and a block so small that most episodes run out of
 # words and go on on the scalar loop
@@ -256,6 +257,25 @@ class TestParity:
         for cause in (None, "hold_timeout", "catastrophic"):
             assert seen[cause, 0] > 0
         assert seen[None, 1] > 0 and seen[None, 2] > 0
+
+    def test_a_job_of_retry_runs_equals_their_replay(self, engine,
+                                                     monkeypatch):
+        # at u = 0 a human on the robot's node makes the robot retry for
+        # hundreds of ticks, past its block: the job hands the episode to
+        # the scalar loop mid-run, whose scans must end it as a replay
+        # tick by tick does, on the bundled map and on small ones
+        g = load_default_environment()
+        jobs = [(EpisodeConfig(g, load_default_mission(g), HeatParams(),
+                               0.0, 0), episode_seeds(7, 0, 1000))]
+        for _, g, mission in still_human_cases():
+            jobs.append((EpisodeConfig(g, mission, HeatParams(), 0.0, 0),
+                         np.array(co_located_seeds(g, mission, 60),
+                                  np.uint64)))
+        runs = counting_retries(monkeypatch)
+        got = [one_level(cfg, seeds) for cfg, seeds in jobs]
+        assert replayed(monkeypatch, lambda: [
+            scalar(cfg, seeds) for cfg, seeds in jobs]) == got
+        assert sum(run > 100 for run in runs) > 50
 
     def test_a_job_spans_levels(self, engine, monkeypatch):
         # lanes at u = 0, which draw nothing for their human, step beside

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from risknav import (EpisodeConfig, EpisodeOutcome, HeatParams,
 from risknav.sim import (CSV_HEADER, DEFAULT_EPISODES_PER_LEVEL,
                          DEFAULT_LEVELS, derive_seed, load_sweep_config)
 
-from conftest import random_connected_doc
+from conftest import (co_located_seeds, counting_retries,
+                      random_connected_doc, replayed, still_human_cases)
 
 
 def pocket_doc():
@@ -168,6 +170,72 @@ class TestDraws:
                 else:
                     assert draws.integers(sizes[k]) == fresh.integers(
                         sizes[k])
+
+    @staticmethod
+    def retried(draws, lo, hi, limit):
+        """draws.retries(lo, hi, limit) one random() at a time: the count,
+        and the draw that left [lo, hi), or None when limit stopped it."""
+        run = 0
+        while run < limit:
+            draw = draws.random()
+            if not lo <= draw < hi:
+                return run, draw
+            run += 1
+        return run, None
+
+    def scan_alike(self, scan, ref, plan, seen):
+        # a part-read block and a kept 32-bit half before each scan; after
+        # it, the same next random(), and integers(30) reads the same
+        # kept half
+        lo, hi = ((0.0, 0.999), (0.002, 1.0), (0.3, 0.9))[plan.integers(3)]
+        limit = (0, 1, 63, 64, 65, 1024, 1100, 2000, 10 ** 9)[
+            plan.integers(9)]
+        for _ in range(plan.integers(70)):
+            assert scan.random() == ref.random()
+        assert scan.integers(30) == ref.integers(30)
+        run, last = self.retried(ref, lo, hi, limit)
+        assert scan.retries(lo, hi, limit) == run
+        if last is not None:
+            assert scan.random() == last
+        assert scan.integers(30) == ref.integers(30)
+        assert scan.random() == ref.random()
+        seen.append((run, last is None and limit < 10 ** 9))
+
+    def test_a_retry_scan_reads_the_draws_one_by_one(self):
+        plan = np.random.default_rng(96)
+        seen = []
+        for seed in range(80):
+            scan, ref = sim._Draws(seed), sim._Draws(seed)
+            for _ in range(6):
+                self.scan_alike(scan, ref, plan, seen)
+        runs = [run for run, _ in seen]
+        # runs that stop inside the first block, cross it, cross a scan
+        # block of 1,024 words, and runs that the limit stops
+        assert min(runs) == 0 and any(0 < run < 64 for run in runs)
+        assert max(runs) > 64 + 1024
+        assert any(bound and run > 64 for run, bound in seen)
+
+    def test_a_retry_scan_after_a_hand_off_reads_the_draws_one_by_one(self):
+        # a stream reseeded and resumed past part of a 96-word block, as a
+        # sweep job hands an episode to the scalar loop
+        plan = np.random.default_rng(95)
+        seeds = [0, 2 ** 32, 2 ** 64 - 1] + [derive_seed(7, 0, e)
+                                              for e in range(40)]
+        states = sim._pcg64_states(seeds)
+        again, seen = sim._Draws(0), []
+        for i, seed in enumerate(seeds):
+            ref = sim._Draws(seed)
+            for _ in range(1 + plan.integers(40)):
+                ref.random()
+            if plan.integers(2):
+                ref.integers(30)
+            read = 64 - len(ref._words)
+            again.reseed(states, i)
+            again.resume(96, np.random.PCG64(seed).random_raw(96)[
+                read:].tolist(), ref._half)
+            for _ in range(3):
+                self.scan_alike(again, ref, plan, seen)
+        assert max(run for run, _ in seen) > 64 + 1024
 
     def test_draws_return_python_numbers(self):
         draws = sim._Draws(7)
@@ -328,6 +396,56 @@ class TestRunEpisode:
             if out.redirects:
                 seen += 1
         assert seen > 0
+
+
+class TestRetryRuns:
+    """A retry beside a human that draws nothing and stays put is the
+    first of a run of equal ticks, which _ticks reads in one
+    _Draws.retries scan; each episode must equal its tick-by-tick
+    replay."""
+
+    @staticmethod
+    def level_0(episodes):
+        g = load_default_environment()
+        cfg = EpisodeConfig(g, load_default_mission(g), HeatParams(), 0.0, 0)
+        return [run_episode(replace(cfg, seed=derive_seed(7, 0, e)))
+                for e in episodes]
+
+    def test_the_bundled_level_0_equals_its_replay(self, monkeypatch):
+        runs = counting_retries(monkeypatch)
+        got = self.level_0(range(1000))
+        assert replayed(monkeypatch, lambda: self.level_0(range(1000))) == got
+        # the longest episode: the human starts on the robot's node, and
+        # the robot retries through 3,131 ticks
+        assert got[445] == EpisodeOutcome(True, None, 3131, 0, 22)
+        assert max(runs) > 1024 and sum(runs) > 3000
+
+    def test_the_tick_guard_stops_a_run_where_it_stops_its_replay(
+            self, monkeypatch):
+        monkeypatch.setattr(sim, "_TICK_GUARD", 700)
+        for play in (lambda run: run(),
+                     lambda run: replayed(monkeypatch, run)):
+            with pytest.raises(RuntimeError, match="tick guard"):
+                play(lambda: self.level_0([445]))
+            assert play(lambda: self.level_0([110]))[0].steps == 625
+
+    @pytest.mark.parametrize("name, g, mission", still_human_cases(),
+                             ids=[case[0] for case in still_human_cases()])
+    def test_hand_built_maps_equal_their_replay(self, monkeypatch, name, g,
+                                                mission):
+        seeds = co_located_seeds(g, mission, 120)
+        cfgs = [EpisodeConfig(g, mission, HeatParams(), 0.0, s)
+                for s in seeds]
+        runs = counting_retries(monkeypatch)
+        got = [run_episode(cfg) for cfg in cfgs]
+        assert replayed(monkeypatch,
+                        lambda: [run_episode(cfg) for cfg in cfgs]) == got
+        assert sum(run > 100 for run in runs) >= len(seeds) // 2
+        causes = Counter((o.failure_cause, o.redirects) for o in got)
+        if name == "redirect":
+            assert causes == {(None, 1): len(seeds)}
+        if name == "failure mass":
+            assert causes[sim.CATASTROPHIC, 0] > 0
 
 
 class TestRedirectTarget:

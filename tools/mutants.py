@@ -35,13 +35,14 @@ LOCKSTEP = "src/risknav/_lockstep.py"
 VERIFY = "src/risknav/verify.py"
 
 # (name, file, old text, new text); each changes one line of the scalar
-# tick or of its lockstep twin, of the redirect memo both engines read, of
-# the human table's layout, emptying or replacement for another mission,
-# of a step's proof shortcut, of the seeding of a sweep job, of its
-# PCG64 word kernel or of its outcome tally, of the task-order scorer or
-# its gather table, of the overlay's effective-success list or of the
-# heated-row memo, of the graph's hop rows, of the row the PRISM export
-# reads or of the reader's answer to a JSON document nested too deeply
+# tick, of its retry scan or of its lockstep twin, of the redirect memo
+# both engines read, of the human table's layout, emptying or replacement
+# for another mission, of a step's proof shortcut, of the seeding of a
+# sweep job, of its PCG64 word kernel or of its outcome tally, of the
+# task-order scorer or its gather table, of the overlay's
+# effective-success list or of the heated-row memo, of the graph's hop
+# rows, of the row the PRISM export reads or of the reader's answer to a
+# JSON document nested too deeply
 MUTANTS = (
     ("settled >= 1", SIM,
      "(human.goal is None or settled >= 2)",
@@ -61,6 +62,12 @@ MUTANTS = (
     ("retry clears holds", SIM,
      "        draw = rng.random()\n",
      "        draw = rng.random(); holds = 0\n"),
+    ("retry run under a moving human", SIM,
+     "elif human.uncertainty == 0.0 and follows[hid] == hid:",
+     "elif human.uncertainty == 0.0:"),
+    ("skipped retries not counted", SIM,
+     "            steps += run\n",
+     "            pass\n"),
     # the same rules in the lockstep engine of a sweep
     ("lockstep settled >= 1", LOCKSTEP,
      "& ((goal < 0) | (settled >= 2)))",
@@ -110,6 +117,9 @@ MUTANTS = (
     ("gather row read at the column", PLANNER,
      "(k + 1) * (gather[i - 1] + 1)",
      "(k + 1) * gather[i - 1]"),
+    ("proof reads the start's entry as a hop", PLANNER,
+     "if (hit is not None and hit <= entry and dst != start",
+     "if (hit is not None and hit <= entry"),
     ("overlay keeps base effective success", HUMAN,
      "        rows[i], effs[i] = hit\n",
      "        rows[i] = hit[0]\n"),
